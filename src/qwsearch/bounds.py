@@ -13,81 +13,31 @@ the minimum-norm assignment gives the tightest value in this family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph
-from .stationary import StationaryAssignment
-from .walk import evolve, initial_state
+from .stationary import StationaryAssignment, _require_disjoint
 
 __all__ = [
-    "ComponentBound",
     "BoundReport",
     "component_bound",
     "total_bound",
     "farthest_point_on_sphere",
-    "farthest_point_brute_force",
     "squared_distance",
-    "max_marked_probability_oracle",
     "estimate_diameter",
     "default_step_budget",
 ]
 
 
 @dataclass(frozen=True)
-class ComponentBound:
-    """One component's term of the probability ceiling."""
-
-    vertices: tuple[int, ...]
-    sum_sq_directed: float
-    total_outgoing: int
-    internal_edge_count: int
-    bound: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Per-component ceiling terms and their total."""
+    """Per-component ceiling terms, in assignment order, and their total."""
 
-    edge_count: int
-    assignment_source: str
-    per_component: tuple[ComponentBound, ...]
+    per_component: tuple[float, ...]
     total_bound: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.edge_count,
-            "assignment_source": self.assignment_source,
-            "components": [
-                {
-                    "vertices": list(cb.vertices),
-                    "sum_sq_directed": cb.sum_sq_directed,
-                    "total_outgoing": cb.total_outgoing,
-                    "internal_edges": cb.internal_edge_count,
-                    "bound": cb.bound,
-                }
-                for cb in self.per_component
-            ],
-            "total_bound": self.total_bound,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"m {self.edge_count}",
-            f"assignment_source {self.assignment_source}",
-            f"total_bound {self.total_bound:.17e}",
-        ]
-        for k, cb in enumerate(self.per_component):
-            lines.append(f"component {k}")
-            lines.append("  vertices " + " ".join(str(v) for v in cb.vertices))
-            lines.append(f"  sum_sq_directed {cb.sum_sq_directed:.17e}")
-            lines.append(f"  total_outgoing {cb.total_outgoing}")
-            lines.append(f"  internal_edges {cb.internal_edge_count}")
-            lines.append(f"  bound {cb.bound:.17e}")
-        return "\n".join(lines) + "\n"
 
 
 def component_bound(comp, assignment: StationaryAssignment, edge_count: int | None = None) -> float:
@@ -109,37 +59,16 @@ def component_bound(comp, assignment: StationaryAssignment, edge_count: int | No
 
 
 def total_bound(
-    assignments: Sequence[StationaryAssignment],
-    edge_count: int | None = None,
-    assignment_source: str = "min_norm",
+    assignments: Sequence[StationaryAssignment], edge_count: int | None = None
 ) -> BoundReport:
     """Sum of the component ceilings of disjoint assignments."""
-    used: set[int] = set()
-    for asg in assignments:
-        clash = used.intersection(asg.component.vertices)
-        if clash:
-            raise ValueError(f"components overlap at vertices {sorted(clash)}")
-        used.update(asg.component.vertices)
+    _require_disjoint(assignments)
     if edge_count is None:
         if not assignments:
             raise ValueError("edge_count is required when there are no assignments")
         edge_count = assignments[0].component.graph.edge_count
-    terms = tuple(
-        ComponentBound(
-            vertices=asg.component.vertices,
-            sum_sq_directed=asg.sum_sq_directed,
-            total_outgoing=asg.component.total_outgoing,
-            internal_edge_count=len(asg.component.internal_edges),
-            bound=component_bound(asg.component, asg, edge_count),
-        )
-        for asg in assignments
-    )
-    return BoundReport(
-        edge_count=int(edge_count),
-        assignment_source=assignment_source,
-        per_component=terms,
-        total_bound=float(sum(t.bound for t in terms)),
-    )
+    terms = tuple(component_bound(asg.component, asg, edge_count) for asg in assignments)
+    return BoundReport(per_component=terms, total_bound=float(sum(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,69 +97,9 @@ def farthest_point_on_sphere(a, r: float) -> np.ndarray:
     return -(r / norm) * a
 
 
-def farthest_point_brute_force(
-    a, r: float, samples: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Sampling plus local ascent search for the same farthest point.
-
-    Stays independent of the closed form so it can act as its check:
-    uniform sphere samples seed a coordinate-wise projected ascent (100
-    iterations, step 0.01*r with geometric decay).  Deterministic for a
-    given seed; dimensions above 8 are rejected as too coarse to sample.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.size
-    if not 1 <= n <= 8:
-        raise ValueError(f"dimension must be between 1 and 8, got {n}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    rng = np.random.default_rng(seed)
-    if r == 0.0:
-        x = np.zeros(n)
-        return x, squared_distance(x, a)
-    pts = rng.standard_normal((samples, n))
-    norms = np.linalg.norm(pts, axis=1)
-    pts = pts[norms > 0] * (r / norms[norms > 0])[:, None]
-    if pts.size == 0:
-        pts = np.full((1, n), r / math.sqrt(n))
-    values = np.sum((pts - a) ** 2, axis=1)
-    best = int(np.argmax(values))
-    x, fx = pts[best].copy(), float(values[best])
-    step_size = 0.01 * r
-    for _ in range(100):
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step_size
-                cand *= r / float(np.linalg.norm(cand))
-                fc = squared_distance(cand, a)
-                if fc > fx:
-                    x, fx = cand, fc
-        step_size *= 0.95
-    return x, fx
-
-
 # ---------------------------------------------------------------------------
-# Empirical left-hand side of the ceiling
+# Diameter estimate and default step budget
 # ---------------------------------------------------------------------------
-
-
-def max_marked_probability_oracle(g: Graph, marked: Iterable[int], t_max: int) -> float:
-    """Largest marked probability over a fresh ``t_max``-step evolution from
-    the uniform state, step 0 included."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
-    best = 0.0
-
-    def see(_t: int, p: float) -> None:
-        nonlocal best
-        if p > best:
-            best = p
-
-    evolve(initial_state(g), marked, t_max, observer=see)
-    return best
 
 
 def _segment_local_indices(lengths: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from . import experiments
 from .graphs import marked_components, read_edge_list
 from .stationary import (
     InfeasibleComponentError,
+    format_assignment,
     merged_coefficients,
     normalization_scale,
     solve_min_norm,
@@ -115,9 +116,7 @@ def _cmd_solve(args) -> int:
         write_assignment_file(args.out, coefficients, scale)
         print(f"wrote {args.out}")
     else:
-        for (i, j), c in coefficients.items():
-            print(f"{i} {j} {c:.17e}")
-        print(f"a {scale:.17e}")
+        print(format_assignment(coefficients, scale), end="")
     return 0
 
 
@@ -132,7 +131,9 @@ def _cmd_verify(args) -> int:
     print(f"max_reverse_mismatch {check.max_reverse_mismatch:.17e}")
     for failure in check.failed_conditions:
         print(f"failed: {failure}")
-    return 0
+    if check.failed_conditions or not check.is_stationary:
+        return experiments.EXIT_CHECK_FAILED
+    return experiments.EXIT_OK
 
 
 def main(argv=None) -> int:

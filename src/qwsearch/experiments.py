@@ -32,6 +32,7 @@ error, 2 = infeasible stationary request, 3 = a check failed.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -43,11 +44,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from .graphs import Graph, generate, marked_components, read_edge_list
 from .stationary import (
+    CONSTRAINT_TOL,
     InfeasibleComponentError,
     assignments_from_coefficients,
     build_state,
     exists_stationary,
-    merged_coefficients,
     normalization_scale,
     read_assignment_file,
     solve_min_norm,
@@ -108,8 +109,7 @@ class ExperimentConfig:
     graph: GraphSpec
     marked: MarkedSpec
     t_max: int | None
-    assignment_mode: str  # "min_norm" | "file"
-    assignment_file: str | None
+    assignment_file: str | None  # None: solve for the minimum-norm assignment
     csv_name: str | None
     report_name: str | None
     base_dir: Path
@@ -120,6 +120,14 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
+
+
+def _as_int(value, where: str) -> int:
+    """A JSON integer; bool (an int subclass) and floats (which int() would
+    truncate) are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _parse_graph_spec(obj) -> GraphSpec:
@@ -133,13 +141,14 @@ def _parse_graph_spec(obj) -> GraphSpec:
     if has_edge_list:
         return GraphSpec(family=None, params={}, edge_list=str(obj["edge_list"]))
     family = obj["family"]
-    if family not in _GRAPH_FAMILY_KEYS:
+    if not isinstance(family, str) or family not in _GRAPH_FAMILY_KEYS:
         raise ValueError(f"graph: unknown family {family!r}")
     wanted = _GRAPH_FAMILY_KEYS[family]
     given = set(obj) - {"family"}
     if given != wanted:
         raise ValueError(f"graph: family {family!r} takes keys {sorted(wanted)}, got {sorted(given)}")
-    return GraphSpec(family=family, params={k: int(obj[k]) for k in wanted}, edge_list=None)
+    params = {k: _as_int(obj[k], f"graph.{k}") for k in wanted}
+    return GraphSpec(family=family, params=params, edge_list=None)
 
 
 def _parse_marked_spec(obj) -> MarkedSpec:
@@ -152,24 +161,22 @@ def _parse_marked_spec(obj) -> MarkedSpec:
     if kind == "vertices":
         if not isinstance(payload, list):
             raise ValueError("marked.vertices must be a list of vertex ids")
-        return MarkedSpec("vertices", tuple(int(v) for v in payload))
+        return MarkedSpec("vertices", tuple(_as_int(v, "marked.vertices[]") for v in payload))
+    if not isinstance(payload, dict):
+        raise ValueError(f"marked.{kind} must be an object")
     if kind == "block":
         _reject_unknown(payload, {"rows", "cols", "row_offset", "col_offset"}, "marked.block")
         if "rows" not in payload or "cols" not in payload:
             raise ValueError("marked.block requires 'rows' and 'cols'")
-        block = {
-            "rows": int(payload["rows"]),
-            "cols": int(payload["cols"]),
-            "row_offset": int(payload.get("row_offset", 0)),
-            "col_offset": int(payload.get("col_offset", 0)),
-        }
+        block = {"row_offset": 0, "col_offset": 0} | payload
+        block = {k: _as_int(v, f"marked.block.{k}") for k, v in block.items()}
         if block["rows"] < 1 or block["cols"] < 1:
             raise ValueError("marked.block dimensions must be positive")
         return MarkedSpec("block", block)
     _reject_unknown(payload, {"k", "seed"}, "marked.pairs")
     if "k" not in payload or "seed" not in payload:
         raise ValueError("marked.pairs requires 'k' and 'seed'")
-    pairs = {"k": int(payload["k"]), "seed": int(payload["seed"])}
+    pairs = {k: _as_int(v, f"marked.pairs.{k}") for k, v in payload.items()}
     if pairs["k"] < 0:
         raise ValueError("marked.pairs.k must be nonnegative")
     return MarkedSpec("pairs", pairs)
@@ -191,22 +198,21 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: missing required key {required!r}")
     t_max = obj.get("t_max")
     if t_max is not None:
-        t_max = int(t_max)
+        t_max = _as_int(t_max, f"{path}: t_max")
         if t_max < 0:
             raise ValueError(f"{path}: t_max must be nonnegative, got {t_max}")
     assignment = obj.get("assignment", "min_norm")
     if assignment == "min_norm":
-        mode, afile = "min_norm", None
+        assignment_file = None
     elif isinstance(assignment, dict) and set(assignment) == {"file"}:
-        mode, afile = "file", str(assignment["file"])
+        assignment_file = str(assignment["file"])
     else:
         raise ValueError(f"{path}: 'assignment' must be \"min_norm\" or {{\"file\": path}}")
     return ExperimentConfig(
         graph=_parse_graph_spec(obj["graph"]),
         marked=_parse_marked_spec(obj["marked"]),
         t_max=t_max,
-        assignment_mode=mode,
-        assignment_file=afile,
+        assignment_file=assignment_file,
         csv_name=str(obj["csv"]) if "csv" in obj else None,
         report_name=str(obj["report"]) if "report" in obj else None,
         base_dir=path.parent,
@@ -312,20 +318,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
     comps = marked_components(g, marked)
     existence = [exists_stationary(c) for c in comps]
 
-    if cfg.assignment_mode == "min_norm":
+    if cfg.assignment_file is None:
         assignments = [solve_min_norm(c) for c in comps]
-        source = "min_norm"
+        source, file_scale = "min_norm", None
     else:
-        coeffs, _file_scale = read_assignment_file(_resolve(cfg.base_dir, cfg.assignment_file))
+        coeffs, file_scale = read_assignment_file(_resolve(cfg.base_dir, cfg.assignment_file))
         assignments = assignments_from_coefficients(comps, coeffs)
         source = "injected"
 
     state = build_state(g, assignments)
     scale = normalization_scale(g, assignments)
+    if file_scale is not None and not math.isclose(file_scale, scale, rel_tol=CONSTRAINT_TOL):
+        raise ValueError(
+            f"{cfg.assignment_file}: scale a {file_scale!r} does not match the normalization scale {scale!r}"
+        )
     check = verify_stationary(g, marked, state)
     stationary_p = marked_probability(state, marked)
-    report_bounds = bounds_mod.total_bound(assignments, edge_count=g.edge_count,
-                                           assignment_source=source)
+    report_bounds = bounds_mod.total_bound(assignments, edge_count=g.edge_count)
 
     t_max = cfg.t_max if cfg.t_max is not None else bounds_mod.default_step_budget(g)
     rows: list[tuple[int, float]] = []
@@ -356,8 +365,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
         "assignment_source": source,
         "scale": scale,
         "components": [
-            _component_entry(c, a, e, bt.bound)
-            for c, a, e, bt in zip(comps, assignments, existence, report_bounds.per_component)
+            _component_entry(c, a, e, b)
+            for c, a, e, b in zip(comps, assignments, existence, report_bounds.per_component)
         ],
         "stationarity": {
             "residual": check.residual,
@@ -417,7 +426,7 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
             payload["seed"] = int(seed)
             cfg = replace(cfg, marked=MarkedSpec("pairs", payload))
     if assignment is not None:
-        cfg = replace(cfg, assignment_mode="file", assignment_file=str(assignment))
+        cfg = replace(cfg, assignment_file=str(assignment))
     return cfg
 
 

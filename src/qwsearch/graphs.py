@@ -106,10 +106,6 @@ class Graph:
         """Sorted neighbor list of v (read-only view)."""
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
-    def vertex_arcs(self, v: int) -> np.ndarray:
-        """Global indices of the arcs leaving v."""
-        return np.arange(self.offsets[v], self.offsets[v + 1])
-
     def arc_index(self, v: int, port: int) -> int:
         if not 0 <= port < self.degrees[v]:
             raise ValueError(f"vertex {v} has no port {port} (degree {self.degree(v)})")

@@ -40,6 +40,7 @@ __all__ = [
     "build_state",
     "verify_stationary",
     "overlap",
+    "format_assignment",
     "write_assignment_file",
     "read_assignment_file",
 ]
@@ -59,29 +60,23 @@ class StationaryAssignment:
     """Per-edge coefficients solving one marked component.
 
     ``coefficients`` maps each unordered internal edge (i, j), i < j, to
-    the shared value c of both directed arcs.  ``scale`` is the common
-    amplitude ``a`` that normalizes the assembled state when this is the
-    only assignment on its graph; assembling several components recomputes
-    one joint scale (see :func:`normalization_scale`).
+    the shared value c of both directed arcs.
     """
 
     component: MarkedComponent
     coefficients: Mapping[tuple[int, int], float]
-    scale: float
 
     @property
-    def sum_sq(self) -> float:
-        """Sum of squared coefficients over unordered edges."""
-        return float(sum(c * c for c in self.coefficients.values()))
+    def scale(self) -> float:
+        """The amplitude ``a`` normalizing the state when this is the only
+        assignment on its graph; several components share one joint scale
+        (see :func:`normalization_scale`)."""
+        return normalization_scale(self.component.graph, [self])
 
     @property
     def sum_sq_directed(self) -> float:
         """Sum of squared coefficients over directed internal arcs."""
-        return 2.0 * self.sum_sq
-
-    @property
-    def coefficient_sum_directed(self) -> float:
-        return 2.0 * float(sum(self.coefficients.values()))
+        return 2.0 * float(sum(c * c for c in self.coefficients.values()))
 
 
 def exists_stationary(comp: MarkedComponent) -> bool:
@@ -108,17 +103,6 @@ def _infeasible(comp: MarkedComponent, residual: float | None = None) -> Infeasi
     )
 
 
-def _finish(comp: MarkedComponent, coefficients: dict[tuple[int, int], float]) -> StationaryAssignment:
-    unscaled_sq = comp.graph.arc_count - 2 * len(coefficients) + 2.0 * sum(
-        c * c for c in coefficients.values()
-    )
-    return StationaryAssignment(
-        component=comp,
-        coefficients=dict(sorted(coefficients.items())),
-        scale=1.0 / math.sqrt(unscaled_sq),
-    )
-
-
 def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     """Coefficients with the smallest sum of squares meeting every constraint.
 
@@ -133,7 +117,7 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     if not edges:
         if np.any(targets != 0.0):
             raise _infeasible(comp)
-        return _finish(comp, {})
+        return StationaryAssignment(comp, {})
     incidence = np.zeros((len(verts), len(edges)))
     row = {v: i for i, v in enumerate(verts)}
     for j, (u, w) in enumerate(edges):
@@ -143,7 +127,7 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     residual = float(np.max(np.abs(incidence @ coeffs - targets)))
     if residual > CONSTRAINT_TOL * max(1.0, float(np.linalg.norm(targets))):
         raise _infeasible(comp, residual)
-    return _finish(comp, {e: float(c) for e, c in zip(edges, coeffs)})
+    return StationaryAssignment(comp, {e: float(c) for e, c in zip(edges, coeffs)})
 
 
 def make_assignment(
@@ -156,10 +140,7 @@ def make_assignment(
     The mapping must cover every internal edge of the component exactly;
     per-vertex sums off by more than ``tol`` raise InfeasibleComponentError.
     """
-    coeffs: dict[tuple[int, int], float] = {}
-    for e, c in coefficients.items():
-        i, j = sorted(int(v) for v in e)
-        coeffs[(i, j)] = float(c)
+    coeffs = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
     expected = set(comp.internal_edges)
     got = set(coeffs)
     if got != expected:
@@ -176,7 +157,7 @@ def make_assignment(
             raise InfeasibleComponentError(
                 f"coefficient sum at vertex {v} is {total}, constraint requires {required}"
             )
-    return _finish(comp, coeffs)
+    return StationaryAssignment(comp, dict(sorted(coeffs.items())))
 
 
 def assignments_from_coefficients(
@@ -221,20 +202,25 @@ def normalization_scale(g: Graph, assignments: Sequence[StationaryAssignment]) -
     return 1.0 / math.sqrt(total)
 
 
+def _require_disjoint(assignments: Iterable[StationaryAssignment]) -> None:
+    """Reject assignments whose components share a vertex."""
+    used: set[int] = set()
+    for asg in assignments:
+        clash = used.intersection(asg.component.vertices)
+        if clash:
+            raise ValueError(f"components overlap at vertices {sorted(clash)}")
+        used.update(asg.component.vertices)
+
+
 def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkState:
     """Assemble the unit state with amplitude ``a`` on every arc except the
     internal marked arcs, which carry their coefficient times ``a``.
 
     With no assignments this is exactly the uniform starting state.
     """
-    used: set[int] = set()
-    for asg in assignments:
-        if asg.component.graph is not g:
-            raise ValueError("assignment solves a component of a different graph")
-        clash = used.intersection(asg.component.vertices)
-        if clash:
-            raise ValueError(f"components overlap at vertices {sorted(clash)}")
-        used.update(asg.component.vertices)
+    if any(asg.component.graph is not g for asg in assignments):
+        raise ValueError("assignment solves a component of a different graph")
+    _require_disjoint(assignments)
     if g.arc_count == 0:
         raise ValueError("graph has no arcs")
     unscaled = np.ones(g.arc_count)
@@ -263,12 +249,13 @@ class StationarityCheck:
 
     @property
     def failed_conditions(self) -> tuple[str, ...]:
+        # Written as "not within tolerance" so that a NaN measure fails.
         failures = []
-        if self.unmarked_amplitude_spread > self.tolerance:
+        if not self.unmarked_amplitude_spread <= self.tolerance:
             failures.append("unmarked amplitudes not all equal")
-        if self.max_marked_vertex_sum > self.tolerance:
+        if not self.max_marked_vertex_sum <= self.tolerance:
             failures.append("marked vertex amplitudes do not sum to zero")
-        if self.max_reverse_mismatch > self.tolerance:
+        if not self.max_reverse_mismatch <= self.tolerance:
             failures.append("reverse-arc amplitudes differ")
         return tuple(failures)
 
@@ -290,11 +277,7 @@ def verify_stationary(
     amps = state.amplitudes
     advanced = step(state, marked_set)
     residual = float(np.max(np.abs(advanced.amplitudes - amps))) if amps.size else 0.0
-    if marked_set:
-        unmarked_mask = ~np.isin(g.arc_source, sorted(marked_set))
-    else:
-        unmarked_mask = np.ones(amps.size, dtype=bool)
-    unmarked = amps[unmarked_mask]
+    unmarked = amps[~np.isin(g.arc_source, sorted(marked_set))]
     spread = float(unmarked.max() - unmarked.min()) if unmarked.size else 0.0
     vertex_sum = 0.0
     for v in marked_set:
@@ -324,10 +307,14 @@ def overlap(s1: WalkState, s2: WalkState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_assignment_file(path, coefficients: Mapping[tuple[int, int], float], scale: float) -> None:
+def format_assignment(coefficients: Mapping[tuple[int, int], float], scale: float) -> str:
     lines = [f"{i} {j} {c:.17e}" for (i, j), c in sorted(coefficients.items())]
     lines.append(f"a {scale:.17e}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_assignment_file(path, coefficients: Mapping[tuple[int, int], float], scale: float) -> None:
+    Path(path).write_text(format_assignment(coefficients, scale))
 
 
 def read_assignment_file(path) -> tuple[dict[tuple[int, int], float], float]:

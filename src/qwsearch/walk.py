@@ -65,9 +65,6 @@ class WalkState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "WalkState":
-        return WalkState(self.amplitudes.copy(), self.graph)
-
 
 def initial_state(g: Graph) -> WalkState:
     """Equal superposition over all arcs: every amplitude is 1/sqrt(2m)."""
@@ -159,7 +156,7 @@ def evolve(
         np.subtract(coined, amps, out=coined)
         amps = coined[g.reverse]
         norm = math.sqrt(float(np.dot(amps, amps)))
-        if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
+        if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:  # NaN fails too
             raise NormDriftError(f"norm drifted to {norm!r} at step {t}; aborting evolution")
         if observer is not None:
             observer(t, _mass(amps, idx))
@@ -196,6 +193,8 @@ def read_state_snapshot(g: Graph, path) -> WalkState:
             raise ValueError(f"{path}:{lineno}: duplicate arc ({parts[0]}, {parts[1]})")
         seen[arc] = True
         amps[arc] = float(parts[2])
+        if not math.isfinite(amps[arc]):
+            raise ValueError(f"{path}:{lineno}: amplitude {parts[2]!r} is not finite")
     if not seen.all():
         raise ValueError(f"{path}: has {int(seen.sum())} arcs, graph has {g.arc_count}")
     return WalkState(amps, g)

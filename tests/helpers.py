@@ -1,14 +1,17 @@
-"""Shared test utilities: dense operator oracles and graph builders.
+"""Shared test utilities: reference oracles and graph builders.
 
 The dense matrices are built straight from the operator definitions and
-stay independent of the matrix-free code paths they check.
+stay independent of the matrix-free code paths they check; the sphere
+search is independent of the closed-form farthest point it checks.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qwsearch import Graph, build_graph
+from qwsearch import Graph, build_graph, evolve, initial_state, squared_distance
 
 
 def dense_query(g: Graph, marked) -> np.ndarray:
@@ -94,3 +97,62 @@ def block_coefficients(cols: int, row_off: int, col_off: int, rows_total: int, c
     vertical = [tuple(sorted(p)) for p in ((v00, v10), (v01, v11))]
     horizontal = [tuple(sorted(p)) for p in ((v00, v01), (v10, v11))]
     return [v00, v01, v10, v11], vertical, horizontal
+
+
+def farthest_point_brute_force(a, r: float, samples: int, seed: int) -> tuple[np.ndarray, float]:
+    """Sampling plus local ascent search for the farthest point of the
+    radius-``r`` origin-centered sphere from ``a``.
+
+    Stays independent of the closed form so it can act as its check:
+    uniform sphere samples seed a coordinate-wise projected ascent (100
+    iterations, step 0.01*r with geometric decay).  Deterministic for a
+    given seed; dimensions above 8 are rejected as too coarse to sample.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.size
+    if not 1 <= n <= 8:
+        raise ValueError(f"dimension must be between 1 and 8, got {n}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    rng = np.random.default_rng(seed)
+    if r == 0.0:
+        x = np.zeros(n)
+        return x, squared_distance(x, a)
+    pts = rng.standard_normal((samples, n))
+    norms = np.linalg.norm(pts, axis=1)
+    pts = pts[norms > 0] * (r / norms[norms > 0])[:, None]
+    if pts.size == 0:
+        pts = np.full((1, n), r / math.sqrt(n))
+    values = np.sum((pts - a) ** 2, axis=1)
+    best = int(np.argmax(values))
+    x, fx = pts[best].copy(), float(values[best])
+    step_size = 0.01 * r
+    for _ in range(100):
+        for i in range(n):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[i] += sign * step_size
+                cand *= r / float(np.linalg.norm(cand))
+                fc = squared_distance(cand, a)
+                if fc > fx:
+                    x, fx = cand, fc
+        step_size *= 0.95
+    return x, fx
+
+
+def max_marked_probability_oracle(g: Graph, marked, t_max: int) -> float:
+    """Largest marked probability over a fresh ``t_max``-step evolution from
+    the uniform state, step 0 included."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
+    best = 0.0
+
+    def see(_t: int, p: float) -> None:
+        nonlocal best
+        if p > best:
+            best = p
+
+    evolve(initial_state(g), marked, t_max, observer=see)
+    return best

@@ -18,13 +18,11 @@ from qwsearch import (
     cycle_graph,
     evolve,
     exists_stationary,
-    farthest_point_brute_force,
     farthest_point_on_sphere,
     initial_state,
     make_assignment,
     marked_components,
     marked_probability,
-    max_marked_probability_oracle,
     random_regular_graph,
     solve_min_norm,
     squared_distance,
@@ -38,7 +36,9 @@ from qwsearch.walk import WalkState
 from helpers import (
     block_coefficients,
     dense_step_matrix,
+    farthest_point_brute_force,
     grow_connected_marked_set,
+    max_marked_probability_oracle,
     random_simple_graph,
     random_unit_state_vector,
 )

@@ -9,11 +9,9 @@ from qwsearch import (
     cycle_graph,
     default_step_budget,
     estimate_diameter,
-    farthest_point_brute_force,
     farthest_point_on_sphere,
     make_assignment,
     marked_components,
-    max_marked_probability_oracle,
     random_regular_graph,
     solve_min_norm,
     squared_distance,
@@ -22,7 +20,13 @@ from qwsearch import (
 )
 from qwsearch.experiments import select_disjoint_pairs
 
-from helpers import block_coefficients, grow_connected_marked_set, random_simple_graph
+from helpers import (
+    block_coefficients,
+    farthest_point_brute_force,
+    grow_connected_marked_set,
+    max_marked_probability_oracle,
+    random_simple_graph,
+)
 
 
 def solved(g, marked):
@@ -161,16 +165,6 @@ class TestTotalBound:
         _, asg = solved(torus16, verts)
         with pytest.raises(ValueError, match="overlap"):
             total_bound([asg, asg])
-
-    def test_text_and_dict_serialization(self, torus16):
-        verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
-        _, asg = solved(torus16, verts)
-        report = total_bound([asg])
-        text = report.to_text()
-        assert "total_bound" in text and "component 0" in text
-        d = report.as_dict()
-        assert d["m"] == 512
-        assert d["components"][0]["total_outgoing"] == 8
 
 
 class TestFarthestPoint:

@@ -54,7 +54,7 @@ class TestConfigParsing:
         assert cfg.graph.family == "cycle"
         assert cfg.marked.kind == "vertices"
         assert cfg.t_max == 150
-        assert cfg.assignment_mode == "min_norm"
+        assert cfg.assignment_file is None
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path / "c.json", {
@@ -110,6 +110,27 @@ class TestConfigParsing:
             "assignment": "best",
         })
         with pytest.raises(ValueError, match="min_norm"):
+            load_config(path)
+
+    @pytest.mark.parametrize("graph, marked, message", [
+        ({"family": "cycle", "n": None}, {"vertices": [1]}, "graph.n must be an integer, got null"),
+        ({"family": "cycle", "n": True}, {"vertices": [1]}, "graph.n must be an integer, got true"),
+        ({"family": "cycle", "n": 7.9}, {"vertices": [1]}, "graph.n must be an integer, got 7.9"),
+        ({"family": "cycle", "n": 5}, {"vertices": [1.0]}, "marked.vertices.* must be an integer"),
+        ({"family": "torus2d", "rows": 4, "cols": 4}, {"block": 5}, "marked.block must be an object"),
+        ({"family": "torus2d", "rows": 4, "cols": 4}, {"pairs": 5}, "marked.pairs must be an object"),
+        ({"family": ["cycle"]}, {"vertices": [1]}, "unknown family"),
+    ])
+    def test_bad_values_are_exit_1(self, tmp_path, graph, marked, message):
+        path = write_config(tmp_path / "c.json", {"graph": graph, "marked": marked})
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        out = execute(path, tmp_path / "out")
+        assert out.exit_code == EXIT_INPUT_ERROR and "\n" not in out.message
+
+    def test_non_integer_t_max(self, tmp_path):
+        path = fig_cycle_config(tmp_path, t_max=2.5)
+        with pytest.raises(ValueError, match="t_max must be an integer, got 2.5"):
             load_config(path)
 
 
@@ -189,6 +210,13 @@ class TestRun:
         assert r["scale"] == pytest.approx(1.0 / np.sqrt(4 * 264), rel=1e-12)
         assert r["stationarity"]["stationary_probability"] == pytest.approx(12 / 264, rel=1e-10)
         assert r["bound_total"] == pytest.approx(0.25, rel=1e-12)
+
+    def test_injected_scale_mismatch_is_exit_1(self, tmp_path, capsys):
+        write_assignment_file(tmp_path / "asg.txt", {(3, 4): -1.0}, 123.0)
+        cfg = fig_cycle_config(tmp_path, assignment={"file": "asg.txt"})
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "does not match the normalization scale" in err and err.count("\n") == 1
 
     def test_t_max_default_applied(self, tmp_path):
         cfg = write_config(tmp_path / "d.json", {
@@ -279,6 +307,16 @@ class TestSweep:
         assert rows[0]["status"] == "ok"
         assert "error(2)" in rows[1]["status"]
 
+    def test_bad_config_value_does_not_stop_sweep(self, tmp_path):
+        bad = write_config(tmp_path / "bad.json", {
+            "graph": {"family": "cycle", "n": None},
+            "marked": {"vertices": [1]},
+        })
+        rows, code = sweep([bad, fig_cycle_config(tmp_path)], tmp_path / "out")
+        assert code == EXIT_INPUT_ERROR
+        assert rows[0]["status"].startswith("error(1): graph.n must be an integer")
+        assert rows[1]["status"] == "ok"
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QWALK_THREADS", "1")
         rows, code = sweep([fig_cycle_config(tmp_path)], tmp_path / "out")
@@ -321,6 +359,13 @@ class TestCli:
         assert out[1].startswith("a ")
         assert float(out[1].split()[1]) == pytest.approx(1 / np.sqrt(10), rel=1e-14)
 
+    def test_solve_stdout_matches_written_file(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        assert main(["solve", str(tmp_path / "c5.txt"), "3,4"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["solve", str(tmp_path / "c5.txt"), "3,4", "--out", str(tmp_path / "a.txt")]) == 0
+        assert (tmp_path / "a.txt").read_text() == printed
+
     def test_solve_infeasible_exit_2(self, tmp_path):
         g = build_graph([(0, 1), (1, 2)], 3)
         write_edge_list(g, tmp_path / "path.txt")
@@ -339,6 +384,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("residual ")
         assert float(out.splitlines()[0].split()[1]) <= 1e-14
+
+    def test_verify_failed_condition_is_exit_3(self, tmp_path, capsys):
+        from qwsearch import initial_state, write_state_snapshot
+
+        g = cycle_graph(5)
+        write_edge_list(g, tmp_path / "c5.txt")
+        write_state_snapshot(initial_state(g), tmp_path / "state.txt")
+        code = main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "state.txt")])
+        assert code == EXIT_CHECK_FAILED
+        assert "failed: marked vertex amplitudes do not sum to zero" in capsys.readouterr().out
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg = fig_cycle_config(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 
 from qwsearch import (
     InfeasibleComponentError,
+    StationarityCheck,
     apply_coin,
     apply_query,
     assignments_from_coefficients,
@@ -132,7 +133,7 @@ class TestSolveMinNorm:
             if not exists_stationary(comp):
                 continue
             asg = solve_min_norm(comp)
-            assert comp.total_outgoing + asg.coefficient_sum_directed == pytest.approx(0.0, abs=1e-9)
+            assert comp.total_outgoing + 2.0 * sum(asg.coefficients.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSolverAgreesWithExistence:
@@ -290,6 +291,12 @@ class TestVerifyStationary:
         check = verify_stationary(cycle5, {3, 4}, WalkState(amps, cycle5))
         assert "reverse-arc amplitudes differ" in check.failed_conditions
         assert "unmarked amplitudes not all equal" in check.failed_conditions
+
+    def test_nan_measures_fail(self):
+        nan = float("nan")
+        check = StationarityCheck(nan, nan, nan, nan, tolerance=1e-10)
+        assert len(check.failed_conditions) == 3
+        assert not check.is_stationary
 
 
 class TestOverlap:

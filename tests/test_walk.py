@@ -240,6 +240,10 @@ class TestEvolve:
         with pytest.raises(NormDriftError, match="step 1"):
             evolve(bad, {0}, 10)
 
+    def test_norm_guard_halts_on_nan(self, cycle5):
+        with pytest.raises(NormDriftError, match="step 1"):
+            evolve(WalkState(np.full(10, np.nan), cycle5), {0}, 10)
+
     def test_negative_t_max(self, cycle5):
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(initial_state(cycle5), set(), -1)
@@ -287,4 +291,14 @@ class TestSnapshotIO:
         lines[1] = lines[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="duplicate arc"):
+            read_state_snapshot(cycle5, path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected(self, tmp_path, cycle5, value):
+        path = tmp_path / "nan.txt"
+        write_state_snapshot(initial_state(cycle5), path)
+        lines = path.read_text().splitlines()
+        lines[2] = " ".join(lines[2].split()[:2] + [value])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":3: amplitude '{value}' is not finite"):
             read_state_snapshot(cycle5, path)
