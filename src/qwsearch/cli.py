@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .graphs import marked_components, read_edge_list
+from .graphs import _parse_int, marked_components, read_edge_list
 from .stationary import (
     InfeasibleComponentError,
     format_assignment,
@@ -36,7 +36,7 @@ def _parse_marked(text: str) -> list[int]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ValueError(f"empty marked vertex list: {text!r}")
-    return sorted({int(v) for v in items})
+    return sorted({_parse_int(v, f"marked list {text!r}") for v in items})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .graphs import Graph, generate, marked_components, read_edge_list
+from .graphs import Graph, _parse_int, generate, marked_components, read_edge_list
 from .stationary import (
     CONSTRAINT_TOL,
     InfeasibleComponentError,
@@ -438,7 +438,7 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("QWALK_THREADS")
     if env is not None:
-        cap = int(env)
+        cap = _parse_int(env, "QWALK_THREADS")
         if cap < 1:
             raise ValueError(f"QWALK_THREADS must be positive, got {env!r}")
     else:
@@ -457,12 +457,24 @@ def sweep(config_paths: Sequence, out_dir, *, t_max=None, seed=None) -> tuple[li
     if not paths:
         return [], EXIT_OK
     out_dir = Path(out_dir)
+    # Each config writes to out_dir/<stem>/, so only the first config with a
+    # given stem runs; a later one would overwrite its artifacts.
+    first_with_stem: dict[str, int] = {}
+    for i, path in enumerate(paths):
+        first_with_stem.setdefault(path.stem, i)
 
-    def one(path: Path) -> ExperimentOutcome:
+    def one(i: int) -> ExperimentOutcome:
+        path = paths[i]
+        first = first_with_stem[path.stem]
+        if first != i:
+            return ExperimentOutcome(
+                EXIT_INPUT_ERROR, None, None, None,
+                f"output directory {out_dir / path.stem} is already used by {paths[first]}",
+            )
         return execute(path, out_dir / path.stem, t_max=t_max, seed=seed)
 
     with ThreadPoolExecutor(max_workers=_worker_count(len(paths))) as pool:
-        outcomes = list(pool.map(one, paths))
+        outcomes = list(pool.map(one, range(len(paths))))
 
     rows = []
     worst = EXIT_OK

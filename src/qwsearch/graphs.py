@@ -56,6 +56,10 @@ class Graph:
     degrees : ndarray, shape (n,)
     arc_source : ndarray, shape (2m,)
         Tail vertex of each arc.
+
+    Construction also picks the coin plan the walk's step kernel uses on
+    this graph (see :class:`_CoinPlan`): port-major when every vertex has
+    the same degree d with 1 <= d <= 8, segment-wise otherwise.
     """
 
     __slots__ = (
@@ -65,9 +69,7 @@ class Graph:
         "reverse",
         "degrees",
         "arc_source",
-        "_coin_starts",
-        "_coin_scale",
-        "_arc_coin_rank",
+        "_coin_plan",
     )
 
     def __init__(self, n, offsets, targets, reverse, degrees, arc_source):
@@ -77,17 +79,9 @@ class Graph:
         self.reverse = reverse
         self.degrees = degrees
         self.arc_source = arc_source
-        # Segment bookkeeping for the per-vertex coin reduction.  Degree-0
-        # vertices own no arcs and must be skipped: np.add.reduceat cannot
-        # represent empty segments.
-        positive = degrees > 0
-        rank = np.cumsum(positive) - 1
-        self._coin_starts = offsets[:-1][positive]
-        self._coin_scale = 2.0 / degrees[positive]
-        self._arc_coin_rank = rank[arc_source]
-        for name in self.__slots__:
-            if name != "n":
-                getattr(self, name).setflags(write=False)
+        for arr in (offsets, targets, reverse, degrees, arc_source):
+            arr.setflags(write=False)
+        self._coin_plan = _CoinPlan.build(self)
 
     @property
     def arc_count(self) -> int:
@@ -107,6 +101,8 @@ class Graph:
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def arc_index(self, v: int, port: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         if not 0 <= port < self.degrees[v]:
             raise ValueError(f"vertex {v} has no port {port} (degree {self.degree(v)})")
         return int(self.offsets[v] + port)
@@ -141,6 +137,61 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+# Most ports a port-major coin plan handles.  A vertex's coin sum must
+# equal np.add.reduceat's, a0 + (((a1 + a2) + a3) + ...): numpy adds fewer
+# than 8 elements sequentially but sums 8 or more pairwise, so row adds
+# reproduce it bit for bit only up to d = 8.
+_PORT_MAJOR_MAX_DEGREE = 8
+
+
+@dataclass(frozen=True)
+class _CoinPlan:
+    """Arc layout and coin bookkeeping for the walk's step kernel.
+
+    Built once per graph.  A port-major plan (``ports`` = d) serves graphs
+    whose vertices all have degree d, 1 <= d <= 8: the kernel holds the
+    amplitudes as a (d, n) array whose row p is port p of every vertex, so
+    the coin is d - 1 contiguous row adds and one broadcast subtract.
+    Every other graph gets a segment plan (``ports`` = 0): amplitudes stay
+    in global arc order, np.add.reduceat sums the non-isolated vertices'
+    segments and a rank gather broadcasts the sums back.
+
+    ``shift`` maps each position of the plan's layout to the position of
+    its reverse arc.  Its range is checked here, once, so the kernel can
+    gather with ``mode="wrap"`` and skip numpy's per-call bounds check.
+    """
+
+    ports: int
+    shift: np.ndarray
+    scale: float | np.ndarray  # 2/d, or 2/degree per non-isolated vertex
+    starts: np.ndarray | None = None  # segment plan: first arc of each non-isolated vertex
+    rank: np.ndarray | None = None  # segment plan: arc -> index into starts
+
+    @classmethod
+    def build(cls, g: Graph) -> "_CoinPlan":
+        n, degrees = g.n, g.degrees
+        d = int(degrees[0]) if n else 0
+        if 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d)):
+            # Arc v*d + p sits at position p*n + v.  Its reverse r = w*d + q,
+            # with w its target, sits at (r - w*d)*n + w = r*n - w*(d*n - 1).
+            shift = np.empty((d, n), dtype=np.int64)
+            np.multiply(g.reverse.reshape(n, d).T, n, out=shift)
+            shift -= g.targets.reshape(n, d).T * (d * n - 1)
+            plan = cls(d, shift.reshape(-1), 2.0 / d)
+        else:
+            # Degree-0 vertices own no arcs and must be skipped:
+            # np.add.reduceat cannot represent empty segments.
+            positive = degrees > 0
+            rank = np.cumsum(positive) - 1
+            plan = cls(0, g.reverse, 2.0 / degrees[positive], g.offsets[:-1][positive], rank[g.arc_source])
+        if plan.shift.size and not (plan.shift.min() >= 0 and plan.shift.max() < g.arc_count):
+            raise ValueError("reverse-arc map points outside the arc range")
+        for arr in (plan.shift, plan.scale, plan.starts, plan.rank):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        return plan
 
 
 def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
@@ -399,17 +450,39 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_int(text: str, where: str) -> int:
+    """``int(text)``, failing with the one-line message ``<where>: bad integer '<text>'``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad integer {text!r}") from None
+
+
+def _parse_float(text: str, where: str) -> float:
+    """``float(text)``, failing with the one-line message ``<where>: bad number '<text>'``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad number {text!r}") from None
+
+
 def read_edge_list(path) -> Graph:
-    text = Path(path).read_text()
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    rows = [(lineno, line.split()) for lineno, line in lines if line.strip()]
+    if not rows or len(rows[0][1]) != 2:
         raise ValueError(f"{path}: first line must be 'n m'")
-    n, m = int(rows[0][0]), int(rows[0][1])
+    lineno, header = rows[0]
+    n, m = (_parse_int(v, f"{path}:{lineno}") for v in header)
     if len(rows) - 1 != m:
         raise ValueError(f"{path}: expected {m} edge lines, found {len(rows) - 1}")
     edges = []
-    for row in rows[1:]:
+    for lineno, row in rows[1:]:
         if len(row) != 2:
-            raise ValueError(f"{path}: malformed edge line {' '.join(row)!r}")
-        edges.append((int(row[0]), int(row[1])))
+            raise ValueError(f"{path}:{lineno}: malformed edge line {' '.join(row)!r}")
+        try:
+            edges.append((int(row[0]), int(row[1])))
+        except ValueError:
+            for v in row:  # raises, naming the first bad integer
+                _parse_int(v, f"{path}:{lineno}")
+            raise
     return build_graph(edges, n)

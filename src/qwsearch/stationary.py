@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Graph, MarkedComponent
+from .graphs import Graph, MarkedComponent, _parse_float, _parse_int
 from .walk import WalkState, step
 
 __all__ = [
@@ -324,17 +324,18 @@ def read_assignment_file(path) -> tuple[dict[tuple[int, int], float], float]:
         parts = line.split()
         if not parts:
             continue
+        where = f"{path}:{lineno}"
         if parts[0] == "a":
             if len(parts) != 2 or scale is not None:
-                raise ValueError(f"{path}:{lineno}: malformed or repeated scale line {line!r}")
-            scale = float(parts[1])
+                raise ValueError(f"{where}: malformed or repeated scale line {line!r}")
+            scale = _parse_float(parts[1], where)
             continue
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'i j c', got {line!r}")
-        i, j = sorted((int(parts[0]), int(parts[1])))
+            raise ValueError(f"{where}: expected 'i j c', got {line!r}")
+        i, j = sorted((_parse_int(parts[0], where), _parse_int(parts[1], where)))
         if (i, j) in coefficients:
-            raise ValueError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
-        coefficients[(i, j)] = float(parts[2])
+            raise ValueError(f"{where}: duplicate edge ({i}, {j})")
+        coefficients[(i, j)] = _parse_float(parts[2], where)
     if scale is None:
         raise ValueError(f"{path}: missing trailing 'a <value>' line")
     return coefficients, scale

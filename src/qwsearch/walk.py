@@ -10,6 +10,18 @@ amplitudes stay real for the whole evolution.
 States are plain float64 vectors in global arc order.  A state is owned by
 one evolution at a time; the pure operator functions below return new
 states and never mutate their input.
+
+The step is written once, in ``_Kernel``: ``evolve`` runs it in a loop,
+``step`` runs it once and ``apply_coin`` runs its coin.  It works in place
+on buffers allocated per call, laid out by the coin plan the graph picked
+when it was built.  On a d-regular graph with d <= 8 the plan is
+port-major: the state is a (d, n) array, the coin sums are d - 1 row adds
+in the order np.add.reduceat uses, a0 + (((a1 + a2) + a3) + ...), and the
+shift is one gather.  numpy sums 8 or more elements pairwise, so beyond
+d = 8 row adds would change the last bits; those graphs, complete graphs
+and irregular graphs use the segment plan (np.add.reduceat over each
+vertex's arcs).  Both plans give results bit for bit equal to each other
+and to the step as written above.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _parse_float, _parse_int
 
 __all__ = [
     "WalkState",
@@ -83,11 +95,83 @@ def _marked_arc_indices(g: Graph, marked: Iterable[int]) -> np.ndarray:
     return np.concatenate([np.arange(g.offsets[v], g.offsets[v + 1]) for v in vs])
 
 
-def _coin_image(g: Graph, amps: np.ndarray) -> np.ndarray:
-    if amps.size == 0:
-        return amps.copy()
-    sums = np.add.reduceat(amps, g._coin_starts)
-    return (sums * g._coin_scale)[g._arc_coin_rank] - amps
+def _port_sums(rows: np.ndarray, out: np.ndarray) -> None:
+    """Column sums of a (d, n) array, 1 <= d <= 8, written to ``out`` in
+    np.add.reduceat's order a0 + (((a1 + a2) + a3) + ...), so they equal
+    its per-segment sums bit for bit, signed zeros included."""
+    d = rows.shape[0]
+    if d == 1:
+        np.copyto(out, rows[0])
+    elif d == 2:
+        np.add(rows[0], rows[1], out=out)
+    else:
+        np.add(rows[1], rows[2], out=out)
+        for p in range(3, d):
+            np.add(out, rows[p], out=out)
+        np.add(rows[0], out, out=out)
+
+
+class _Kernel:
+    """One walk's state in its graph's coin-plan layout, with the buffers
+    the step works in.
+
+    Query, coin and shift all run in place: the coin reads ``x`` into
+    ``coined`` and the shift gathers ``coined`` back into ``x``.  A kernel
+    belongs to one call; graphs (and their plans) are shared between
+    threads, so the buffers live here, not on the graph.
+    """
+
+    def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
+        self.plan = plan = g._coin_plan
+        d = plan.ports
+        if d:
+            self.x = amplitudes.reshape(g.n, d).T.flatten()
+            # Same order as ``arcs``, so _mass adds the same terms in turn.
+            self.arcs = (arcs % d) * g.n + arcs // d
+            self.sums = np.empty(g.n)
+        else:
+            self.x = amplitudes.copy()
+            self.arcs = arcs
+        self.coined = np.empty_like(self.x)
+
+    def arc_order(self, x: np.ndarray) -> np.ndarray:
+        """``x`` (the state or the coin buffer) in global arc order.
+
+        A port-major kernel transposes it into its other buffer, whose
+        pages are already mapped, rather than a fresh array that would
+        fault them in again.  Either way the kernel is done afterwards.
+        """
+        d = self.plan.ports
+        if not d:
+            return x
+        out = self.coined if x is self.x else self.x
+        for p, row in enumerate(x.reshape(d, -1)):
+            out[p::d] = row
+        return out
+
+    def coin(self) -> None:
+        """Write the coin's image of ``x`` to ``coined``."""
+        plan, x = self.plan, self.x
+        if plan.ports:
+            rows, sums = x.reshape(plan.ports, -1), self.sums
+            _port_sums(rows, sums)
+            np.multiply(sums, plan.scale, out=sums)
+            np.subtract(sums, rows, out=self.coined.reshape(rows.shape))
+        else:
+            sums = np.add.reduceat(x, plan.starts)
+            np.subtract((sums * plan.scale)[plan.rank], x, out=self.coined)
+
+    def step(self) -> None:
+        x, arcs = self.x, self.arcs
+        x[arcs] = -x[arcs]
+        self.coin()
+        np.take(self.coined, self.plan.shift, out=x, mode="wrap")
+
+    def norm(self) -> float:
+        return math.sqrt(float(np.dot(self.x, self.x)))
+
+    def mass(self) -> float:
+        return _mass(self.x, self.arcs)
 
 
 def _mass(amps: np.ndarray, idx: np.ndarray) -> float:
@@ -105,7 +189,10 @@ def apply_query(state: WalkState, marked: Iterable[int]) -> WalkState:
 
 def apply_coin(state: WalkState) -> WalkState:
     """Invert every vertex's arc amplitudes about their mean."""
-    return WalkState(_coin_image(state.graph, state.amplitudes), state.graph)
+    g = state.graph
+    kernel = _Kernel(g, state.amplitudes, np.empty(0, dtype=np.int64))
+    kernel.coin()
+    return WalkState(kernel.arc_order(kernel.coined), g)
 
 
 def apply_shift(state: WalkState) -> WalkState:
@@ -116,10 +203,9 @@ def apply_shift(state: WalkState) -> WalkState:
 def step(state: WalkState, marked: Iterable[int]) -> WalkState:
     """One search step: query, then coin, then shift."""
     g = state.graph
-    idx = _marked_arc_indices(g, marked)
-    amps = state.amplitudes.copy()
-    amps[idx] = -amps[idx]
-    return WalkState(_coin_image(g, amps)[g.reverse], g)
+    kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked))
+    kernel.step()
+    return WalkState(kernel.arc_order(kernel.x), g)
 
 
 def marked_probability(state: WalkState, marked: Iterable[int]) -> float:
@@ -143,24 +229,19 @@ def evolve(
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     g = state.graph
-    idx = _marked_arc_indices(g, marked)
-    amps = state.amplitudes.copy()
+    kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked))
     if observer is not None:
-        observer(0, _mass(amps, idx))
+        observer(0, kernel.mass())
     if g.arc_count == 0:
-        return WalkState(amps, g)
+        return WalkState(kernel.arc_order(kernel.x), g)
     for t in range(1, t_max + 1):
-        amps[idx] = -amps[idx]
-        sums = np.add.reduceat(amps, g._coin_starts)
-        coined = (sums * g._coin_scale)[g._arc_coin_rank]
-        np.subtract(coined, amps, out=coined)
-        amps = coined[g.reverse]
-        norm = math.sqrt(float(np.dot(amps, amps)))
+        kernel.step()
+        norm = kernel.norm()
         if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:  # NaN fails too
             raise NormDriftError(f"norm drifted to {norm!r} at step {t}; aborting evolution")
         if observer is not None:
-            observer(t, _mass(amps, idx))
-    return WalkState(amps, g)
+            observer(t, kernel.mass())
+    return WalkState(kernel.arc_order(kernel.x), g)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +267,20 @@ def read_state_snapshot(g: Graph, path) -> WalkState:
         if not line.strip():
             continue
         parts = line.split()
+        where = f"{path}:{lineno}"
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'v c amplitude', got {line!r}")
-        arc = g.arc_index(int(parts[0]), int(parts[1]))
+            raise ValueError(f"{where}: expected 'v c amplitude', got {line!r}")
+        v, port = _parse_int(parts[0], where), _parse_int(parts[1], where)
+        try:
+            arc = g.arc_index(v, port)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
         if seen[arc]:
-            raise ValueError(f"{path}:{lineno}: duplicate arc ({parts[0]}, {parts[1]})")
+            raise ValueError(f"{where}: duplicate arc ({parts[0]}, {parts[1]})")
         seen[arc] = True
-        amps[arc] = float(parts[2])
+        amps[arc] = _parse_float(parts[2], where)
         if not math.isfinite(amps[arc]):
-            raise ValueError(f"{path}:{lineno}: amplitude {parts[2]!r} is not finite")
+            raise ValueError(f"{where}: amplitude {parts[2]!r} is not finite")
     if not seen.all():
         raise ValueError(f"{path}: has {int(seen.sum())} arcs, graph has {g.arc_count}")
     return WalkState(amps, g)

@@ -42,6 +42,36 @@ def dense_step_matrix(g: Graph, marked) -> np.ndarray:
     return dense_shift(g) @ dense_coin(g) @ dense_query(g, marked)
 
 
+def reference_coin(g: Graph, amps: np.ndarray) -> np.ndarray:
+    """The coin as one np.add.reduceat over each non-isolated vertex's arcs,
+    scaled by 2/degree and broadcast back by rank: the arithmetic every
+    coin plan of the step kernel must reproduce bit for bit."""
+    positive = g.degrees > 0
+    rank = np.cumsum(positive) - 1
+    sums = np.add.reduceat(amps, g.offsets[:-1][positive])
+    return (sums * (2.0 / g.degrees[positive]))[rank[g.arc_source]] - amps
+
+
+def reference_evolve(g: Graph, amps: np.ndarray, marked, t_max: int) -> tuple[list[float], np.ndarray]:
+    """Marked probability at steps 0..t_max and the final amplitudes, from a
+    plain loop of query, :func:`reference_coin` and reverse-arc gather."""
+    idx = np.array(
+        [arc for v in sorted(set(marked)) for arc in range(g.offsets[v], g.offsets[v + 1])], dtype=np.int64
+    )
+    amps = amps.copy()
+
+    def mass() -> float:
+        picked = amps[idx]
+        return float(np.dot(picked, picked))
+
+    seen = [mass()]
+    for _ in range(t_max):
+        amps[idx] = -amps[idx]
+        amps = reference_coin(g, amps)[g.reverse]
+        seen.append(mass())
+    return seen, amps
+
+
 def brute_force_bipartite(vertices, edges) -> bool:
     """Try every 2-coloring of the vertices (first vertex pinned)."""
     verts = sorted(vertices)

@@ -322,6 +322,20 @@ class TestSweep:
         rows, code = sweep([fig_cycle_config(tmp_path)], tmp_path / "out")
         assert code == EXIT_OK and len(rows) == 1
 
+    def test_same_stem_runs_once_and_the_rest_report_the_clash(self, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        first = fig_cycle_config(tmp_path / "a")
+        clash = write_config(tmp_path / "b" / "cycle.json", json.loads(first.read_text()) | {"t_max": 7})
+        other = write_config(tmp_path / "b" / "other.json", json.loads(first.read_text()))
+        rows, code = sweep([first, clash, other], tmp_path / "out")
+        assert code == EXIT_INPUT_ERROR
+        assert rows[0]["status"] == "ok" and rows[2]["status"] == "ok"
+        assert rows[1]["status"] == (
+            f"error(1): output directory {tmp_path / 'out' / 'cycle'} is already used by {first}"
+        )
+        assert len((tmp_path / "out" / "cycle" / "cycle.csv").read_text().splitlines()) == 152
+
     def test_table_format(self, tmp_path):
         rows, _ = sweep([fig_cycle_config(tmp_path)], tmp_path / "out")
         table = format_sweep_table(rows)
@@ -394,6 +408,44 @@ class TestCli:
         code = main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "state.txt")])
         assert code == EXIT_CHECK_FAILED
         assert "failed: marked vertex amplitudes do not sum to zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("reader, bad, problem", [
+        ("edge_list", "5 5\n0 1\n0 x\n1 2\n2 3\n3 4\n", "3: bad integer 'x'"),
+        ("snapshot", "0 0 0.5\nx 1 0.5\n", "2: bad integer 'x'"),
+        ("snapshot", "0 0 abc\n", "1: bad number 'abc'"),
+        ("assignment", "3 x 1.0\na 0.3\n", "1: bad integer 'x'"),
+        ("assignment", "3 4 -1.0\na zz\n", "2: bad number 'zz'"),
+    ], ids=["edge_list", "snapshot_int", "snapshot_float", "assignment_int", "assignment_float"])
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys, reader, bad, problem):
+        c5 = tmp_path / "c5.txt"
+        write_edge_list(cycle_graph(5), c5)
+        bad_file = tmp_path / "bad.txt"
+        bad_file.write_text(bad)
+        argv = {
+            "edge_list": ["solve", str(bad_file), "3,4"],
+            "snapshot": ["verify", str(c5), "3,4", str(bad_file)],
+            "assignment": ["run", str(fig_cycle_config(tmp_path)), "--assignment", str(bad_file),
+                           "--out-dir", str(tmp_path / "o")],
+        }[reader]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {bad_file}:{problem}\n"
+
+    def test_bad_marked_vertex_is_named(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        assert main(["solve", str(tmp_path / "c5.txt"), "3,x"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: marked list '3,x': bad integer 'x'\n"
+
+    def test_snapshot_vertex_out_of_range_names_line(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        (tmp_path / "s.txt").write_text("0 0 0.5\n9 0 0.5\n")
+        assert main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "s.txt")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {tmp_path / 's.txt'}:2: vertex 9 out of range for n=5\n"
+
+    def test_bad_thread_count_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QWALK_THREADS", "two")
+        cfg = fig_cycle_config(tmp_path)
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: QWALK_THREADS: bad integer 'two'\n"
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg = fig_cycle_config(tmp_path)

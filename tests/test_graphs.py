@@ -222,3 +222,10 @@ class TestEdgeListIO:
         path.write_text("3 2\n0 1\n")
         with pytest.raises(ValueError, match="expected 2 edge lines"):
             read_edge_list(path)
+
+    def test_malformed_edge_line_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0 1\n\n1 2 5\n")
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:4: malformed edge line '1 2 5'"

@@ -5,21 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qwsearch import (
+    Graph,
     NormDriftError,
     WalkState,
     apply_coin,
     apply_query,
     apply_shift,
     build_graph,
+    complete_graph,
     cycle_graph,
     evolve,
     initial_state,
     marked_probability,
+    random_regular_graph,
     read_state_snapshot,
     step,
     torus2d_graph,
     write_state_snapshot,
 )
+from qwsearch.walk import _port_sums
 
 from helpers import (
     dense_coin,
@@ -28,6 +32,8 @@ from helpers import (
     dense_step_matrix,
     random_simple_graph,
     random_unit_state_vector,
+    reference_coin,
+    reference_evolve,
 )
 
 
@@ -252,6 +258,97 @@ class TestEvolve:
         g = torus2d_graph(8, 8)
         final = evolve(initial_state(g), {9, 10}, 1000)
         assert abs(final.norm() - 1.0) <= 1e-10
+
+
+def irregular_graph():
+    """Degrees 1 to 4 plus three isolated vertices (9, 10, 11)."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 8), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+    return build_graph(edges, 12)
+
+
+# Graphs for the step kernel: port-major plans at d = 1..8 (complete_graph(7)
+# is 6-regular), segment plans beyond d = 8 and on irregular graphs.
+KERNEL_GRAPHS = {
+    **{f"regular_d{d}": (lambda d=d: random_regular_graph(20, d, seed=d)) for d in range(1, 10)},
+    "complete7": lambda: complete_graph(7),
+    "complete12": lambda: complete_graph(12),
+    "irregular": irregular_graph,
+}
+
+
+def kernel_case(name):
+    """A graph, a unit state with mixed magnitudes and signed zeros, and two
+    marked vertices of positive degree."""
+    g = KERNEL_GRAPHS[name]()
+    rng = np.random.default_rng(sorted(KERNEL_GRAPHS).index(name))
+    amps = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-6, 7, size=g.arc_count)
+    amps[rng.choice(g.arc_count, size=4, replace=False)] = [0.0, -0.0, -0.0, 0.0]
+    amps /= np.linalg.norm(amps)
+    return g, amps, [0, g.n // 2]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+class TestStepKernel:
+    """The in-place kernel against the plain reduceat loop, bit for bit."""
+
+    def test_evolve_matches_reference(self, name):
+        g, amps, marked = kernel_case(name)
+        seen = []
+        out = evolve(WalkState(amps, g), marked, 30, observer=lambda t, p: seen.append(p))
+        ref_seen, ref_amps = reference_evolve(g, amps, marked, 30)
+        assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+        assert out.amplitudes.tobytes() == ref_amps.tobytes()
+
+    def test_step_matches_reference(self, name):
+        g, amps, marked = kernel_case(name)
+        _, ref_amps = reference_evolve(g, amps, marked, 1)
+        assert step(WalkState(amps, g), marked).amplitudes.tobytes() == ref_amps.tobytes()
+
+    def test_apply_coin_matches_reference(self, name):
+        g, amps, _ = kernel_case(name)
+        assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
+
+    def test_nan_is_caught_by_drift_guard(self, name):
+        g, amps, marked = kernel_case(name)
+        amps[g.arc_count // 2] = np.nan
+        with pytest.raises(NormDriftError, match="nan at step 1"):
+            evolve(WalkState(amps, g), marked, 5)
+
+
+class TestCoinPlan:
+    @pytest.mark.parametrize("build, ports", [
+        (lambda: cycle_graph(7), 2),
+        (lambda: torus2d_graph(4, 5), 4),
+        (lambda: random_regular_graph(12, 5, seed=1), 5),
+        (lambda: complete_graph(9), 8),
+        (lambda: complete_graph(10), 0),
+        (irregular_graph, 0),
+        (lambda: build_graph([], 3), 0),
+    ])
+    def test_plan_choice(self, build, ports):
+        assert build()._coin_plan.ports == ports
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_port_sums_match_reduceat(self, d):
+        rng = np.random.default_rng(d)
+        n = 500
+        rows = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-8, 9, size=(d, n))
+        rows[rng.random((d, n)) < 0.2] = 0.0
+        rows[rng.random((d, n)) < 0.2] = -0.0
+        rows[:, :3] = -0.0  # an all-negative-zero vertex sums to -0.0
+        out = np.empty(n)
+        _port_sums(rows, out)
+        expected = np.add.reduceat(rows.T.ravel(), np.arange(0, n * d, d))
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[:3]).all()
+
+    @pytest.mark.parametrize("build", [lambda: cycle_graph(5), irregular_graph])
+    def test_out_of_range_reverse_rejected(self, build):
+        g = build()
+        reverse = g.reverse.copy()
+        reverse[0] = g.arc_count
+        with pytest.raises(ValueError, match="outside the arc range"):
+            Graph(g.n, g.offsets, g.targets, reverse, g.degrees, g.arc_source)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
