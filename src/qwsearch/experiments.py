@@ -27,6 +27,11 @@ non-adjacent adjacent-vertex pairs, chosen deterministically from the seed.
 
 Exit statuses: 0 = dominance and stationarity checks passed, 1 = input
 error, 2 = infeasible stationary request, 3 = a check failed.
+
+A single marked vertex of positive degree exits 2 by design: it is a
+bipartite component with one empty side, so it has no stationary state
+and no ceiling to check.  Such a walk can still be simulated through the
+library (``walk.evolve``), as acceptance criterion 9 does.
 """
 
 from __future__ import annotations
@@ -236,22 +241,23 @@ def select_disjoint_pairs(g: Graph, k: int, seed: int) -> list[int]:
     """Mark k adjacent pairs whose components stay exactly those pairs.
 
     Edges are tried in a seeded random order; a pair is accepted only when
-    neither endpoint is adjacent to an already marked vertex.
+    neither endpoint is adjacent to an already marked vertex.  Edge i is
+    the i-th arc (u, v) with u < v in arc order, which is the i-th entry
+    of ``g.edge_list()``.
     """
     rng = np.random.default_rng(seed)
-    edges = g.edge_list()
-    order = rng.permutation(len(edges))
+    forward = g.arc_source < g.targets
+    us, vs = g.arc_source[forward], g.targets[forward]
+    order = rng.permutation(us.size)
     marked: set[int] = set()
     chosen = 0
     for i in order:
         if chosen == k:
             break
-        u, v = edges[i]
+        u, v = int(us[i]), int(vs[i])
         if u in marked or v in marked:
             continue
-        if any(int(w) in marked for w in g.neighbors(u)) or any(
-            int(w) in marked for w in g.neighbors(v)
-        ):
+        if any(w in marked for w in g.neighbors(u).tolist() + g.neighbors(v).tolist()):
             continue
         marked.update((u, v))
         chosen += 1

@@ -8,6 +8,10 @@ same edge in the opposite direction.  Sorting neighbor lists ascending
 makes arc indices (and everything built on them) reproducible across runs
 and platforms.
 
+The cycle, torus2d and complete generators write these arrays directly
+from a neighbor table; :func:`build_graph` validates and converts an edge
+list, and serves edge-list files and random regular graphs.
+
 Graphs and marked components are immutable after construction and can be
 shared freely between concurrent workers.
 """
@@ -236,32 +240,58 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _from_neighbor_table(table: np.ndarray) -> Graph:
+    """Build a d-regular simple graph from its (n, d) neighbor table.
+
+    Row v lists the d distinct neighbors of v, in any order.  Sorting the
+    rows gives the ports; offsets, degrees and arc sources follow by
+    arithmetic, and the reverse of arc (v -> w) is found by searching the
+    ascending arc keys ``src * n + dst`` for ``w * n + v``.  The arrays are
+    exactly those :func:`build_graph` gives for the same edges.
+    """
+    n, d = table.shape
+    dst = np.sort(table, axis=1).reshape(-1)
+    src = np.repeat(np.arange(n, dtype=np.int64), d)
+    keys = src * n + dst
+    reverse = np.searchsorted(keys, dst * n + src).astype(np.int64, copy=False)
+    offsets = np.arange(0, n * d + 1, d, dtype=np.int64)
+    return Graph(n, offsets, dst, reverse, np.full(n, d, dtype=np.int64), src)
+
+
 def cycle_graph(n: int) -> Graph:
+    """Cycle 0 - 1 - ... - (n-1) - 0, built as arrays (2-regular)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got n={n}")
-    return build_graph([(i, (i + 1) % n) for i in range(n)], n)
+    v = np.arange(n, dtype=np.int64)
+    return _from_neighbor_table(np.stack([(v - 1) % n, (v + 1) % n], axis=1))
 
 
 def torus2d_graph(rows: int, cols: int) -> Graph:
-    """Two-dimensional lattice with periodic boundaries (4-regular).
+    """Two-dimensional lattice with periodic boundaries (4-regular), built
+    as arrays.
 
     Vertices are numbered row-major: (r, c) -> r * cols + c.
     """
     if rows < 3 or cols < 3:
         raise ValueError(f"torus2d needs rows, cols >= 3, got {rows}x{cols}")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            edges.append((v, r * cols + (c + 1) % cols))
-            edges.append((v, ((r + 1) % rows) * cols + c))
-    return build_graph(edges, rows * cols)
+    n = rows * cols
+    row = np.arange(rows, dtype=np.int64)[:, None] * cols  # first vertex of each row
+    col = np.arange(cols, dtype=np.int64)[None, :]
+    table = np.stack(
+        [(row - cols) % n + col, row + (col - 1) % cols, row + (col + 1) % cols, (row + cols) % n + col],
+        axis=-1,
+    )
+    return _from_neighbor_table(table.reshape(n, 4))
 
 
 def complete_graph(n: int) -> Graph:
+    """Complete graph K_n, built as arrays ((n-1)-regular)."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
-    return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
+    # Row v is 0..n-1 without v: column p holds p when p < v, else p + 1.
+    v = np.arange(n, dtype=np.int64)[:, None]
+    p = np.arange(n - 1, dtype=np.int64)[None, :]
+    return _from_neighbor_table(p + (p >= v))
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:

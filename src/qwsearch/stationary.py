@@ -39,7 +39,6 @@ __all__ = [
     "normalization_scale",
     "build_state",
     "verify_stationary",
-    "overlap",
     "format_assignment",
     "write_assignment_file",
     "read_assignment_file",
@@ -150,8 +149,11 @@ def make_assignment(
             f"coefficients do not match the component's internal edges"
             f" (missing {missing}, extra {extra})"
         )
-    for v in comp.vertices:
-        total = sum(c for e, c in coeffs.items() if v in e)
+    totals = dict.fromkeys(comp.vertices, 0)
+    for (i, j), c in coeffs.items():
+        totals[i] += c
+        totals[j] += c
+    for v, total in totals.items():
         required = -comp.outgoing_degree[v]
         if abs(total - required) > tol:
             raise InfeasibleComponentError(
@@ -290,15 +292,6 @@ def verify_stationary(
         max_reverse_mismatch=mismatch,
         tolerance=tolerance,
     )
-
-
-def overlap(s1: WalkState, s2: WalkState) -> float:
-    """Standard inner product of two states on the same graph."""
-    if s1.amplitudes.size != s2.amplitudes.size:
-        raise ValueError(
-            f"dimension mismatch: {s1.amplitudes.size} vs {s2.amplitudes.size} amplitudes"
-        )
-    return float(np.dot(s1.amplitudes, s2.amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 The dense matrices are built straight from the operator definitions and
 stay independent of the matrix-free code paths they check; the sphere
-search is independent of the closed-form farthest point it checks.
+search is independent of the closed-form farthest point it checks.  The
+edge-list family builders, the pair-selection loop and the per-vertex
+coefficient check keep the straightforward formulations that the library's
+array code replaced, so the tests can require equal results.
 """
 
 from __future__ import annotations
@@ -11,7 +14,16 @@ import math
 
 import numpy as np
 
-from qwsearch import Graph, build_graph, evolve, initial_state, squared_distance
+from qwsearch import (
+    Graph,
+    InfeasibleComponentError,
+    MarkedComponent,
+    WalkState,
+    build_graph,
+    evolve,
+    initial_state,
+    squared_distance,
+)
 
 
 def dense_query(g: Graph, marked) -> np.ndarray:
@@ -70,6 +82,74 @@ def reference_evolve(g: Graph, amps: np.ndarray, marked, t_max: int) -> tuple[li
         amps = reference_coin(g, amps)[g.reverse]
         seen.append(mass())
     return seen, amps
+
+
+def reference_family_graph(family: str, **params) -> Graph:
+    """A cycle, torus2d or complete graph built through :func:`build_graph`
+    from its edge list, as the generators did before they wrote arrays."""
+    if family == "cycle":
+        n = params["n"]
+        return build_graph([(i, (i + 1) % n) for i in range(n)], n)
+    if family == "torus2d":
+        rows, cols = params["rows"], params["cols"]
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c
+                edges.append((v, r * cols + (c + 1) % cols))
+                edges.append((v, ((r + 1) % rows) * cols + c))
+        return build_graph(edges, rows * cols)
+    if family == "complete":
+        n = params["n"]
+        return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
+    raise ValueError(f"no reference builder for family {family!r}")
+
+
+def select_disjoint_pairs_oracle(g: Graph, k: int, seed: int) -> list[int]:
+    """Pair selection over ``g.edge_list()`` tuples, with the seeded
+    permutation and acceptance rule of ``experiments.select_disjoint_pairs``."""
+    rng = np.random.default_rng(seed)
+    edges = g.edge_list()
+    order = rng.permutation(len(edges))
+    marked: set[int] = set()
+    chosen = 0
+    for i in order:
+        if chosen == k:
+            break
+        u, v = edges[i]
+        if u in marked or v in marked:
+            continue
+        if any(int(w) in marked for w in g.neighbors(u)) or any(int(w) in marked for w in g.neighbors(v)):
+            continue
+        marked.update((u, v))
+        chosen += 1
+    if chosen != k:
+        raise ValueError(f"could not place {k} non-adjacent marked pairs (placed {chosen})")
+    return sorted(marked)
+
+
+def make_assignment_oracle(comp: MarkedComponent, coefficients, tol: float) -> dict[tuple[int, int], float]:
+    """The checked coefficients of ``stationary.make_assignment``, with each
+    vertex's sum taken by a scan over every coefficient; raises the same
+    InfeasibleComponentError at the first failing vertex."""
+    coeffs = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
+    for v in comp.vertices:
+        total = sum(c for e, c in coeffs.items() if v in e)
+        required = -comp.outgoing_degree[v]
+        if abs(total - required) > tol:
+            raise InfeasibleComponentError(
+                f"coefficient sum at vertex {v} is {total}, constraint requires {required}"
+            )
+    return dict(sorted(coeffs.items()))
+
+
+def overlap(s1: WalkState, s2: WalkState) -> float:
+    """Standard inner product of two states on the same graph."""
+    if s1.amplitudes.size != s2.amplitudes.size:
+        raise ValueError(
+            f"dimension mismatch: {s1.amplitudes.size} vs {s2.amplitudes.size} amplitudes"
+        )
+    return float(np.dot(s1.amplitudes, s2.amplitudes))
 
 
 def brute_force_bipartite(vertices, edges) -> bool:

@@ -359,6 +359,18 @@ class TestCli:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INFEASIBLE
         assert "bipartite side sums" in capsys.readouterr().err
 
+    def test_single_marked_vertex_is_exit_2_by_design(self, tmp_path, capsys):
+        # The standard search case has no stationary state, hence no ceiling;
+        # the library simulates it (acceptance criterion 9), the CLI refuses it.
+        cfg = write_config(tmp_path / "one.json", {
+            "graph": {"family": "torus2d", "rows": 8, "cols": 8},
+            "marked": {"vertices": [9]},
+            "t_max": 5,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+        assert "component (9,): bipartite side sums 4 != 0" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*.csv"))
+
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == EXIT_INPUT_ERROR
         assert main(["frobnicate"]) == EXIT_INPUT_ERROR

@@ -13,8 +13,14 @@ from qwsearch import (
     torus2d_graph,
     write_edge_list,
 )
+from qwsearch.experiments import select_disjoint_pairs
 
-from helpers import brute_force_bipartite, random_simple_graph
+from helpers import (
+    brute_force_bipartite,
+    random_simple_graph,
+    reference_family_graph,
+    select_disjoint_pairs_oracle,
+)
 
 
 @st.composite
@@ -127,6 +133,58 @@ class TestGenerate:
     def test_bad_parameter_names(self):
         with pytest.raises(ValueError, match="bad parameters"):
             generate("cycle", vertices=5)
+
+
+ARRAY_FAMILIES = (
+    [("cycle", {"n": n}) for n in range(3, 8)]
+    + [("torus2d", {"rows": r, "cols": c}) for r, c in ((3, 3), (3, 4), (4, 3), (5, 7), (16, 16))]
+    + [("complete", {"n": n}) for n in (2, 3, 9, 10)]
+)
+
+
+def _family_id(case):
+    family, params = case
+    return family + "-" + "x".join(str(v) for v in params.values())
+
+
+class TestArrayBuilders:
+    """The cycle, torus2d and complete generators write CSR arrays directly;
+    they must equal what build_graph makes from the same edges."""
+
+    @pytest.mark.parametrize("family,params", ARRAY_FAMILIES, ids=[_family_id(c) for c in ARRAY_FAMILIES])
+    def test_matches_edge_list_build(self, family, params):
+        g = generate(family, **params)
+        ref = reference_family_graph(family, **params)
+        assert g.n == ref.n
+        for name in ("offsets", "targets", "reverse", "degrees", "arc_source"):
+            got, want = getattr(g, name), getattr(ref, name)
+            assert got.dtype == np.int64, name
+            assert not got.flags.writeable, name
+            assert np.array_equal(got, want), name
+        # complete(10) is the one case here above the port-major degree limit
+        assert g._coin_plan.ports == ref._coin_plan.ports
+        assert np.array_equal(g._coin_plan.shift, ref._coin_plan.shift)
+
+
+class TestSelectDisjointPairsOracle:
+    """Pairs chosen from the arc arrays equal those chosen from edge_list()."""
+
+    @pytest.mark.parametrize("graph", [cycle_graph(7), torus2d_graph(5, 7), complete_graph(6),
+                                       random_regular_graph(40, 3, seed=2)],
+                             ids=["cycle7", "torus5x7", "complete6", "random_regular40"])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_matches_edge_list_oracle(self, graph, k):
+        for seed in range(10):
+            try:
+                want = select_disjoint_pairs_oracle(graph, k, seed)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    select_disjoint_pairs(graph, k, seed)
+                assert str(got.value) == str(err)
+                continue
+            got = select_disjoint_pairs(graph, k, seed)
+            assert got == want
+            assert all(type(v) is int for v in got)
 
 
 class TestMarkedComponents:

@@ -21,7 +21,6 @@ from qwsearch import (
     marked_probability,
     merged_coefficients,
     normalization_scale,
-    overlap,
     random_regular_graph,
     read_assignment_file,
     solve_min_norm,
@@ -31,8 +30,15 @@ from qwsearch import (
     write_assignment_file,
     write_state_snapshot,
 )
+from qwsearch.stationary import CONSTRAINT_TOL
 
-from helpers import block_coefficients, grow_connected_marked_set, random_simple_graph
+from helpers import (
+    block_coefficients,
+    grow_connected_marked_set,
+    make_assignment_oracle,
+    overlap,
+    random_simple_graph,
+)
 
 
 def single_component(g, marked):
@@ -234,6 +240,29 @@ class TestMakeAssignment:
         injected = make_assignment(comp, solved.coefficients)
         assert injected.coefficients == solved.coefficients
         assert injected.scale == solved.scale
+
+    def test_matches_per_vertex_scan(self):
+        # Solved coefficients must pass with bit-equal values; perturbing one
+        # edge must fail at the same vertex with the same printed sum.
+        rng = np.random.default_rng(4)
+        checked = 0
+        for _ in range(12):
+            g = random_simple_graph(rng, int(rng.integers(8, 14)), 0.4)
+            comp = single_component(g, grow_connected_marked_set(rng, g, int(rng.integers(3, 8))))
+            if not comp.internal_edges or not exists_stationary(comp):
+                continue
+            solved = dict(solve_min_norm(comp).coefficients)
+            want = make_assignment_oracle(comp, solved, CONSTRAINT_TOL)
+            assert make_assignment(comp, solved).coefficients == want
+            for e in comp.internal_edges:
+                bad = solved | {e: solved[e] + float(rng.uniform(-1.0, 1.0))}
+                with pytest.raises(InfeasibleComponentError) as err:
+                    make_assignment_oracle(comp, bad, CONSTRAINT_TOL)
+                with pytest.raises(InfeasibleComponentError) as got:
+                    make_assignment(comp, bad)
+                assert str(got.value) == str(err.value)
+                checked += 1
+        assert checked > 20
 
 
 class TestFixedPointDynamics:
