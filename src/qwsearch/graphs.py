@@ -63,7 +63,9 @@ class Graph:
 
     Construction also picks the coin plan the walk's step kernel uses on
     this graph (see :class:`_CoinPlan`): port-major when every vertex has
-    the same degree d with 1 <= d <= 8, segment-wise otherwise.
+    the same degree d with 1 <= d <= 8, segment-wise otherwise, and row
+    slices for the shift when a port-major plan's shift mostly moves whole
+    rows.
     """
 
     __slots__ = (
@@ -149,6 +151,17 @@ class Graph:
 # reproduce it bit for bit only up to d = 8.
 _PORT_MAJOR_MAX_DEGREE = 8
 
+# Most fix-ups, as a fraction of the arcs, for which a port-major plan
+# fuses the coin's subtract into the shift (see _CoinPlan).  A fix-up costs
+# two gathers and a scatter where a slice entry costs one streamed
+# subtract.  Per step on 4-regular tori of 2^16 arcs (one thread, 2-vCPU
+# Xeon, numpy 2.4), the fused step took 0.44-0.49 of the gather step's
+# time at 3-8% fix-ups, 0.75-0.84 at 16-21%, 0.93-0.95 at 31% and 1.1-1.8
+# at 42-67%; at 2^20 arcs, 0.56 at 31% and 1.55 at 63%.  The crossover is
+# near 1/3; 1/4 keeps a margin below it.  Random regular graphs are almost
+# all fix-ups (twice the gather step's time) and never qualify.
+_SLICE_MAX_FIX_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class _CoinPlan:
@@ -165,6 +178,18 @@ class _CoinPlan:
     ``shift`` maps each position of the plan's layout to the position of
     its reverse arc.  Its range is checked here, once, so the kernel can
     gather with ``mode="wrap"`` and skip numpy's per-call bounds check.
+
+    A port-major plan whose shift mostly moves whole rows also carries
+    ``slices``: for each destination row q, a tuple ``(p, k, lo, hi)``
+    saying that positions ``lo:hi`` of row q read row p at vertex offset k,
+    so the kernel writes ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight
+    into them.  ``lo`` and ``hi - 1`` are the first and last positions that
+    read (p, k).  Every other position, outside ``lo:hi`` or inside it but
+    reading elsewhere, is a fix-up: ``fix`` lists them in ascending order,
+    ``fix_src`` is ``shift[fix]`` and ``fix_v`` its vertex, and the kernel
+    writes ``sums[fix_v] - x[fix_src]`` to them after the slices.  Plans
+    with more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups keep
+    ``slices`` None and gather with ``shift``.
     """
 
     ports: int
@@ -172,59 +197,117 @@ class _CoinPlan:
     scale: float | np.ndarray  # 2/d, or 2/degree per non-isolated vertex
     starts: np.ndarray | None = None  # segment plan: first arc of each non-isolated vertex
     rank: np.ndarray | None = None  # segment plan: arc -> index into starts
+    slices: tuple[tuple[int, int, int, int], ...] | None = None
+    fix: np.ndarray | None = None
+    fix_src: np.ndarray | None = None
+    fix_v: np.ndarray | None = None
 
     @classmethod
     def build(cls, g: Graph) -> "_CoinPlan":
         n, degrees = g.n, g.degrees
         d = int(degrees[0]) if n else 0
-        if 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d)):
+        port_major = 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d))
+        if port_major:
             # Arc v*d + p sits at position p*n + v.  Its reverse r = w*d + q,
             # with w its target, sits at (r - w*d)*n + w = r*n - w*(d*n - 1).
             shift = np.empty((d, n), dtype=np.int64)
             np.multiply(g.reverse.reshape(n, d).T, n, out=shift)
             shift -= g.targets.reshape(n, d).T * (d * n - 1)
-            plan = cls(d, shift.reshape(-1), 2.0 / d)
+            shift = shift.reshape(-1)
+        else:
+            shift = g.reverse
+        if shift.size and not (shift.min() >= 0 and shift.max() < g.arc_count):
+            raise ValueError("reverse-arc map points outside the arc range")
+        if port_major:
+            plan = cls(d, shift, 2.0 / d, **_slice_fields(shift.reshape(d, n)))
         else:
             # Degree-0 vertices own no arcs and must be skipped:
             # np.add.reduceat cannot represent empty segments.
             positive = degrees > 0
             rank = np.cumsum(positive) - 1
-            plan = cls(0, g.reverse, 2.0 / degrees[positive], g.offsets[:-1][positive], rank[g.arc_source])
-        if plan.shift.size and not (plan.shift.min() >= 0 and plan.shift.max() < g.arc_count):
-            raise ValueError("reverse-arc map points outside the arc range")
-        for arr in (plan.shift, plan.scale, plan.starts, plan.rank):
+            plan = cls(0, shift, 2.0 / degrees[positive], starts=g.offsets[:-1][positive], rank=rank[g.arc_source])
+        for arr in (plan.shift, plan.scale, plan.starts, plan.rank, plan.fix, plan.fix_src, plan.fix_v):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
         return plan
 
 
-def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Build a graph from unordered vertex pairs.
+def _slice_fields(shift: np.ndarray) -> dict:
+    """The slice fields of a port-major plan with this (d, n) shift, or no
+    fields if its fix-ups would exceed _SLICE_MAX_FIX_FRACTION of the arcs.
+
+    Row q's (p, k) is its most common source row p, then the most common
+    vertex offset k among the positions reading row p: two bincounts per
+    row, so the build is O(arcs) with no sort.
+    """
+    d, n = shift.shape
+    budget = shift.size * _SLICE_MAX_FIX_FRACTION
+    v = np.arange(n, dtype=np.int64)
+    slices, fixes, fix_count = [], [], 0
+    for q, src in enumerate(shift):
+        src_row = src // n
+        p = int(np.bincount(src_row, minlength=d).argmax())
+        delta = src - v  # p*n + k where position v reads (p, v + k)
+        k = int(np.bincount(delta[src_row == p] - (p * n - n)).argmax()) - n
+        reads = delta == p * n + k
+        reads[: max(0, -k)] = False  # these read row p - 1 or p + 1
+        reads[min(n, n - k) :] = False
+        slices.append((p, k, int(reads.argmax()), n - int(reads[::-1].argmax())))
+        miss = np.flatnonzero(~reads)
+        fix_count += miss.size
+        if fix_count > budget:
+            return {}
+        fixes.append(miss + q * n)
+    fix = np.concatenate(fixes)
+    fix_src = shift.reshape(-1)[fix]
+    return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
+
+
+class _EdgeError(ValueError):
+    """An invalid edge, with its position in the edge list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
+    """Build a graph from unordered vertex pairs, or an (m, 2) integer array.
 
     Ports are assigned in ascending neighbor order and the reverse-arc map
     is fully populated.  Self-loops, duplicate edges (in either
     orientation), and out-of-range endpoints are rejected, naming the
-    offending edge.
+    offending edge: the first self-loop or out-of-range edge in input
+    order, else the smallest duplicated edge.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    pairs = [(int(u), int(v)) for u, v in edges]
-    for u, v in pairs:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}: edge ({u}, {v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    if pairs:
-        e = np.asarray(pairs, dtype=np.int64)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
+    if not isinstance(edges, np.ndarray):
+        edges = [(int(u), int(v)) for u, v in edges]
+    try:
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an endpoint beyond int64, which the range check names
+        e = np.asarray(edges, dtype=object).reshape(-1, 2)
+    u, v = e[:, 0], e[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(u[i]), int(v[i])
+        if a == b:
+            raise _EdgeError(i, f"self-loop at vertex {a}: edge ({a}, {b})")
+        raise _EdgeError(i, f"edge ({a}, {b}) out of range for n={n}")
+    u, v = e.astype(np.int64, copy=False).T
+    if u.size:
+        src = np.concatenate([u, v])
+        dst = np.concatenate([v, u])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         keys = src * n + dst
         dup = np.nonzero(keys[1:] == keys[:-1])[0]
         if dup.size:
-            a, b = int(src[dup[0]]), int(dst[dup[0]])
-            raise ValueError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+            a, b = sorted((int(src[dup[0]]), int(dst[dup[0]])))
+            again = np.flatnonzero((np.minimum(u, v) == a) & (np.maximum(u, v) == b))[1]
+            raise _EdgeError(int(again), f"duplicate edge ({a}, {b})")
         degrees = np.bincount(src, minlength=n)
         reverse = np.searchsorted(keys, dst * n + src).astype(np.int64)
     else:
@@ -497,22 +580,29 @@ def _parse_float(text: str, where: str) -> float:
 
 
 def read_edge_list(path) -> Graph:
-    lines = enumerate(Path(path).read_text().splitlines(), start=1)
-    rows = [(lineno, line.split()) for lineno, line in lines if line.strip()]
-    if not rows or len(rows[0][1]) != 2:
+    split = [line.split() for line in Path(path).read_text().splitlines()]
+    linenos = [lineno for lineno, row in enumerate(split, start=1) if row]
+    rows = [split[lineno - 1] for lineno in linenos]
+    if not rows or len(rows[0]) != 2:
         raise ValueError(f"{path}: first line must be 'n m'")
-    lineno, header = rows[0]
-    n, m = (_parse_int(v, f"{path}:{lineno}") for v in header)
-    if len(rows) - 1 != m:
-        raise ValueError(f"{path}: expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: malformed edge line {' '.join(row)!r}")
+    n, m = (_parse_int(v, f"{path}:{linenos[0]}") for v in rows[0])
+    linenos, rows = linenos[1:], rows[1:]
+    if len(rows) != m:
+        raise ValueError(f"{path}: expected {m} edge lines, found {len(rows)}")
+    edges = None
+    if all(len(row) == 2 for row in rows):
         try:
-            edges.append((int(row[0]), int(row[1])))
-        except ValueError:
-            for v in row:  # raises, naming the first bad integer
-                _parse_int(v, f"{path}:{lineno}")
-            raise
-    return build_graph(edges, n)
+            edges = np.array(rows, dtype=np.int64).reshape(-1, 2)  # parses each token as int() does
+        except (ValueError, OverflowError):
+            pass  # a bad integer, or one beyond int64: found line by line below
+    if edges is None:
+        edges = []
+        for lineno, row in zip(linenos, rows):
+            where = f"{path}:{lineno}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: malformed edge line {' '.join(row)!r}")
+            edges.append((_parse_int(row[0], where), _parse_int(row[1], where)))
+    try:
+        return build_graph(edges, n)
+    except _EdgeError as err:
+        raise ValueError(f"{path}:{linenos[err.index]}: {err}") from None

@@ -12,16 +12,21 @@ one evolution at a time; the pure operator functions below return new
 states and never mutate their input.
 
 The step is written once, in ``_Kernel``: ``evolve`` runs it in a loop,
-``step`` runs it once and ``apply_coin`` runs its coin.  It works in place
-on buffers allocated per call, laid out by the coin plan the graph picked
+``step`` runs it once and ``apply_coin`` runs its coin.  It works on two
+buffers allocated per call, laid out by the coin plan the graph picked
 when it was built.  On a d-regular graph with d <= 8 the plan is
-port-major: the state is a (d, n) array, the coin sums are d - 1 row adds
-in the order np.add.reduceat uses, a0 + (((a1 + a2) + a3) + ...), and the
-shift is one gather.  numpy sums 8 or more elements pairwise, so beyond
+port-major: the state is a (d, n) array and the coin sums are d - 1 row
+adds in the order np.add.reduceat uses, a0 + (((a1 + a2) + a3) + ...).
+Where the shift mostly moves whole rows, as on tori and cycles, the coin's
+subtract writes straight into the shifted positions, one row slice per
+port plus a small fix-up gather, and the buffers swap roles each step;
+elsewhere, as on random regular graphs, the coin's image is gathered
+through the shift.  numpy sums 8 or more elements pairwise, so beyond
 d = 8 row adds would change the last bits; those graphs, complete graphs
 and irregular graphs use the segment plan (np.add.reduceat over each
-vertex's arcs).  Both plans give results bit for bit equal to each other
-and to the step as written above.
+vertex's arcs).  Every plan computes each amplitude by the same
+operations, so all give results bit for bit equal to each other and to
+the step as written above.
 """
 
 from __future__ import annotations
@@ -115,10 +120,13 @@ class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
 
-    Query, coin and shift all run in place: the coin reads ``x`` into
-    ``coined`` and the shift gathers ``coined`` back into ``x``.  A kernel
-    belongs to one call; graphs (and their plans) are shared between
-    threads, so the buffers live here, not on the graph.
+    The query runs in place on ``x``.  Where the plan has row slices, the
+    coin's image goes straight to its shifted position in ``spare``: one
+    subtract per destination row, then the fix-ups, after which the two
+    buffers swap roles.  Other plans write the coin's image to ``spare``
+    and gather it back into ``x`` through ``shift``.  A kernel belongs to
+    one call; graphs (and their plans) are shared between threads, so the
+    buffers live here, not on the graph.
     """
 
     def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
@@ -132,10 +140,24 @@ class _Kernel:
         else:
             self.x = amplitudes.copy()
             self.arcs = arcs
-        self.coined = np.empty_like(self.x)
+        self.spare = np.empty_like(self.x)
+        if plan.slices is not None:
+            # Slice views for both directions between the buffers, and the
+            # fix-up buffers, so a step allocates nothing.
+            self.moves = (self._moves(self.x, self.spare), self._moves(self.spare, self.x))
+            self.fix_sums = np.empty(plan.fix.size)
+            self.fix_vals = np.empty(plan.fix.size)
+
+    def _moves(self, src: np.ndarray, dst: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        d, sums = self.plan.ports, self.sums
+        rows, out = src.reshape(d, -1), dst.reshape(d, -1)
+        return [
+            (sums[lo + k : hi + k], rows[p, lo + k : hi + k], out[q, lo:hi])
+            for q, (p, k, lo, hi) in enumerate(self.plan.slices)
+        ]
 
     def arc_order(self, x: np.ndarray) -> np.ndarray:
-        """``x`` (the state or the coin buffer) in global arc order.
+        """``x`` (the state or the spare buffer) in global arc order.
 
         A port-major kernel transposes it into its other buffer, whose
         pages are already mapped, rather than a fresh array that would
@@ -144,28 +166,46 @@ class _Kernel:
         d = self.plan.ports
         if not d:
             return x
-        out = self.coined if x is self.x else self.x
+        out = self.spare if x is self.x else self.x
         for p, row in enumerate(x.reshape(d, -1)):
             out[p::d] = row
         return out
 
+    def _scaled_sums(self) -> np.ndarray:
+        """A port-major kernel's coin sums of ``x``, times 2/d."""
+        sums = self.sums
+        _port_sums(self.x.reshape(self.plan.ports, -1), sums)
+        np.multiply(sums, self.plan.scale, out=sums)
+        return sums
+
     def coin(self) -> None:
-        """Write the coin's image of ``x`` to ``coined``."""
+        """Write the coin's image of ``x`` to ``spare``."""
         plan, x = self.plan, self.x
         if plan.ports:
-            rows, sums = x.reshape(plan.ports, -1), self.sums
-            _port_sums(rows, sums)
-            np.multiply(sums, plan.scale, out=sums)
-            np.subtract(sums, rows, out=self.coined.reshape(rows.shape))
+            rows = x.reshape(plan.ports, -1)
+            np.subtract(self._scaled_sums(), rows, out=self.spare.reshape(rows.shape))
         else:
             sums = np.add.reduceat(x, plan.starts)
-            np.subtract((sums * plan.scale)[plan.rank], x, out=self.coined)
+            np.subtract((sums * plan.scale)[plan.rank], x, out=self.spare)
 
     def step(self) -> None:
-        x, arcs = self.x, self.arcs
+        x, arcs, plan = self.x, self.arcs, self.plan
         x[arcs] = -x[arcs]
-        self.coin()
-        np.take(self.coined, self.plan.shift, out=x, mode="wrap")
+        if plan.slices is None:
+            self.coin()
+            np.take(self.spare, plan.shift, out=x, mode="wrap")
+            return
+        sums = self._scaled_sums()
+        for sums_part, rows_part, out in self.moves[0]:
+            np.subtract(sums_part, rows_part, out=out)
+        # The fix-ups go last: they overwrite the positions inside a row's
+        # slice that read from elsewhere.
+        np.take(sums, plan.fix_v, out=self.fix_sums, mode="wrap")
+        np.take(x, plan.fix_src, out=self.fix_vals, mode="wrap")
+        np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
+        self.spare[plan.fix] = self.fix_vals
+        self.x, self.spare = self.spare, x
+        self.moves = self.moves[::-1]
 
     def norm(self) -> float:
         return math.sqrt(float(np.dot(self.x, self.x)))
@@ -192,7 +232,7 @@ def apply_coin(state: WalkState) -> WalkState:
     g = state.graph
     kernel = _Kernel(g, state.amplitudes, np.empty(0, dtype=np.int64))
     kernel.coin()
-    return WalkState(kernel.arc_order(kernel.coined), g)
+    return WalkState(kernel.arc_order(kernel.spare), g)
 
 
 def apply_shift(state: WalkState) -> WalkState:

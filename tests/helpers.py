@@ -6,6 +6,8 @@ search is independent of the closed-form farthest point it checks.  The
 edge-list family builders, the pair-selection loop and the per-vertex
 coefficient check keep the straightforward formulations that the library's
 array code replaced, so the tests can require equal results.
+``SHIFT_GRAPHS`` are the port-major graphs the walk's row-sliced shift is
+checked on.
 """
 
 from __future__ import annotations
@@ -20,10 +22,24 @@ from qwsearch import (
     MarkedComponent,
     WalkState,
     build_graph,
+    complete_graph,
+    cycle_graph,
     evolve,
     initial_state,
+    random_regular_graph,
     squared_distance,
+    torus2d_graph,
 )
+
+# Port-major graphs for the shift's row slices: tori and cycles, whose small
+# members are mostly wrap-around fix-ups, and graphs that keep the gather.
+SHIFT_GRAPHS = {
+    **{f"torus{r}x{c}": (lambda r=r, c=c: torus2d_graph(r, c))
+       for r, c in ((3, 3), (3, 4), (4, 3), (5, 7), (16, 16), (128, 128))},
+    **{f"cycle{n}": (lambda n=n: cycle_graph(n)) for n in (3, 4, 5, 6, 7, 1000)},
+    "complete5": lambda: complete_graph(5),
+    "random_regular": lambda: random_regular_graph(200, 4, seed=3),
+}
 
 
 def dense_query(g: Graph, marked) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qwsearch.graphs as graphs
 from qwsearch import (
     build_graph,
     complete_graph,
@@ -16,6 +17,7 @@ from qwsearch import (
 from qwsearch.experiments import select_disjoint_pairs
 
 from helpers import (
+    SHIFT_GRAPHS,
     brute_force_bipartite,
     random_simple_graph,
     reference_family_graph,
@@ -58,6 +60,28 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             build_graph([(0, 5)], 3)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2: edge (2, 2)"),
+        ([(0, 1), (0, 9), (2, 2)], "edge (0, 9) out of range for n=3"),
+        ([(1, 2), (0, 1), (2, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ])
+    def test_array_input_gives_the_same_error(self, edges, message):
+        for given in (edges, np.array(edges, dtype=np.int64)):
+            with pytest.raises(ValueError) as err:
+                build_graph(given, 3)
+            assert str(err.value) == message
+
+    def test_endpoint_beyond_int64_is_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            build_graph([(0, 1), (0, 2**70)], 3)
+        assert str(err.value) == f"edge (0, {2**70}) out of range for n=3"
+
+    def test_array_input_builds_the_same_graph(self):
+        edges = [(3, 0), (0, 1), (2, 1), (3, 2), (1, 3)]
+        g, h = build_graph(edges, 5), build_graph(np.array(edges, dtype=np.int64), 5)
+        for name in ("offsets", "targets", "reverse", "degrees", "arc_source"):
+            assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
     def test_ports_sorted_ascending(self):
         g = build_graph([(2, 0), (2, 3), (2, 1)], 4)
@@ -164,6 +188,79 @@ class TestArrayBuilders:
         # complete(10) is the one case here above the port-major degree limit
         assert g._coin_plan.ports == ref._coin_plan.ports
         assert np.array_equal(g._coin_plan.shift, ref._coin_plan.shift)
+
+
+def assert_row_slices_cover_the_shift(g):
+    """Every position of a sliced plan is written either by exactly one
+    correct slice entry or by one fix-up, and never by both."""
+    plan, n = g._coin_plan, g.n
+    d = plan.ports
+    shift = plan.shift.reshape(d, n)
+    assert len(plan.slices) == d
+    for arr in (plan.fix, plan.fix_src, plan.fix_v):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert np.all(np.diff(plan.fix) > 0)  # ascending, so each fix-up once
+    assert np.array_equal(plan.fix_src, plan.shift[plan.fix])
+    assert np.array_equal(plan.fix_v, plan.fix_src % n)
+    fixed = np.zeros(d * n, dtype=bool)
+    fixed[plan.fix] = True
+    fixed = fixed.reshape(d, n)
+    by_slice = np.zeros((d, n), dtype=bool)
+    for q, (p, k, lo, hi) in enumerate(plan.slices):
+        assert 0 <= lo < hi <= n and 0 <= p < d
+        assert lo + k >= 0 and hi + k <= n  # the slice stays inside source row p
+        right = shift[q, lo:hi] == p * n + np.arange(lo, hi) + k
+        assert right[0] and right[-1]  # no slice entry past the first and last correct one
+        by_slice[q, lo:hi] = right
+    assert np.all(by_slice ^ fixed)
+    assert plan.fix.size <= graphs._SLICE_MAX_FIX_FRACTION * g.arc_count
+
+
+class TestShiftSlices:
+    """Row slices plus fix-ups of a port-major plan's shift."""
+
+    @pytest.mark.parametrize("build, sliced", [
+        (lambda: torus2d_graph(128, 128), True),
+        (lambda: torus2d_graph(64, 48), True),
+        (lambda: cycle_graph(1000), True),
+        (lambda: cycle_graph(64), True),
+        (lambda: torus2d_graph(3, 3), False),
+        (lambda: torus2d_graph(5, 7), False),
+        (lambda: cycle_graph(5), False),
+        (lambda: complete_graph(5), False),
+        (lambda: random_regular_graph(200, 4, seed=3), False),
+        (lambda: random_regular_graph(2000, 3, seed=1), False),
+        (lambda: complete_graph(10), False),  # segment plan
+    ], ids=["torus128", "torus64x48", "cycle1000", "cycle64", "torus3x3", "torus5x7", "cycle5",
+            "complete5", "random_regular200", "random_regular2000", "complete10"])
+    def test_plan_choice(self, build, sliced):
+        plan = build()._coin_plan
+        assert (plan.slices is not None) == sliced
+        if not sliced:
+            assert plan.fix is None and plan.fix_src is None and plan.fix_v is None
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_GRAPHS))
+    def test_every_position_is_written_once(self, name, monkeypatch):
+        # Slice every port-major graph, however many fix-ups it needs.
+        monkeypatch.setattr(graphs, "_SLICE_MAX_FIX_FRACTION", 1.0)
+        assert_row_slices_cover_the_shift(SHIFT_GRAPHS[name]())
+
+    @pytest.mark.parametrize("rows, cols", [(16, 16), (128, 128), (64, 48)])
+    def test_torus_slices_follow_the_lattice(self, rows, cols):
+        # Interior vertices read their up, left, right and down neighbors'
+        # ports 3, 2, 1 and 0 at vertex offsets -cols, -1, +1 and +cols.
+        g = torus2d_graph(rows, cols)
+        assert [s[:2] for s in g._coin_plan.slices] == [(3, -cols), (2, -1), (1, 1), (0, cols)]
+        assert_row_slices_cover_the_shift(g)
+
+    def test_cycle_fix_ups_are_the_wrap_around(self):
+        # Vertices 0 and n-1 list their neighbors the other way round, so
+        # the arcs of 0 and n-1 and the arcs of 1 and n-2 that point at them
+        # read from elsewhere: six fix-ups out of 2n positions.
+        g = cycle_graph(1000)
+        assert g._coin_plan.slices == ((1, -1, 2, 999), (0, 1, 1, 998))
+        assert g._coin_plan.fix.tolist() == [0, 1, 999, 1000, 1998, 1999]
+        assert_row_slices_cover_the_shift(g)
 
 
 class TestSelectDisjointPairsOracle:
@@ -287,3 +384,33 @@ class TestEdgeListIO:
         with pytest.raises(ValueError) as err:
             read_edge_list(path)
         assert str(err.value) == f"{path}:4: malformed edge line '1 2 5'"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 3\n0 1\n2 2\n1 2\n", 3, "self-loop at vertex 2: edge (2, 2)"),
+        ("3 3\n0 1\n1 5\n2 2\n", 3, "edge (1, 5) out of range for n=3"),
+        ("3 3\n0 -1\n0 1\n1 2\n", 2, "edge (0, -1) out of range for n=3"),
+        ("3 3\n0 1\n1 99999999999999999999\n1 2\n", 3, "edge (1, 99999999999999999999) out of range for n=3"),
+        # the smallest duplicated edge, at the line that repeats it
+        ("3 4\n1 2\n\n0 1\n2 1\n1 0\n", 6, "duplicate edge (0, 1)"),
+    ], ids=["self-loop", "out-of-range", "negative", "beyond-int64", "duplicate"])
+    def test_invalid_edge_names_the_edge_and_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_bad_integer_is_named_before_a_later_invalid_edge(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3\n0 99999999999999999999\n1 x\n2 2\n")
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:3: bad integer 'x'"
+
+    def test_equals_build_graph_on_the_same_edges(self, tmp_path):
+        g = random_simple_graph(np.random.default_rng(4), 40, 0.2)
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        again = read_edge_list(path)
+        for name in ("offsets", "targets", "reverse", "degrees", "arc_source"):
+            assert np.array_equal(getattr(again, name), getattr(g, name)), name

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qwsearch.graphs as graphs
 from qwsearch import (
     Graph,
     NormDriftError,
@@ -26,6 +28,7 @@ from qwsearch import (
 from qwsearch.walk import _port_sums
 
 from helpers import (
+    SHIFT_GRAPHS,
     dense_coin,
     dense_query,
     dense_shift,
@@ -275,21 +278,25 @@ KERNEL_GRAPHS = {
     "irregular": irregular_graph,
 }
 
+# A case's seed is its index here; the KERNEL_GRAPHS come first, so adding
+# shift graphs left their seeds as they were.
+CASES = sorted(KERNEL_GRAPHS) + sorted(SHIFT_GRAPHS)
+
 
 def kernel_case(name):
     """A graph, a unit state with mixed magnitudes and signed zeros, and two
     marked vertices of positive degree."""
-    g = KERNEL_GRAPHS[name]()
-    rng = np.random.default_rng(sorted(KERNEL_GRAPHS).index(name))
+    g = {**KERNEL_GRAPHS, **SHIFT_GRAPHS}[name]()
+    rng = np.random.default_rng(CASES.index(name))
     amps = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-6, 7, size=g.arc_count)
     amps[rng.choice(g.arc_count, size=4, replace=False)] = [0.0, -0.0, -0.0, 0.0]
     amps /= np.linalg.norm(amps)
     return g, amps, [0, g.n // 2]
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+@pytest.mark.parametrize("name", CASES)
 class TestStepKernel:
-    """The in-place kernel against the plain reduceat loop, bit for bit."""
+    """The kernel against the plain reduceat loop, bit for bit."""
 
     def test_evolve_matches_reference(self, name):
         g, amps, marked = kernel_case(name)
@@ -313,6 +320,42 @@ class TestStepKernel:
         amps[g.arc_count // 2] = np.nan
         with pytest.raises(NormDriftError, match="nan at step 1"):
             evolve(WalkState(amps, g), marked, 5)
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_GRAPHS))
+def test_row_slices_match_reference_however_many_fix_ups(name, monkeypatch):
+    """Every port-major graph sliced, fix-ups and all, against the plain loop."""
+    monkeypatch.setattr(graphs, "_SLICE_MAX_FIX_FRACTION", 1.0)
+    g, amps, marked = kernel_case(name)
+    assert g._coin_plan.slices is not None
+    seen = []
+    out = evolve(WalkState(amps, g), marked, 30, observer=lambda t, p: seen.append(p))
+    ref_seen, ref_amps = reference_evolve(g, amps, marked, 30)
+    assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+    assert out.amplitudes.tobytes() == ref_amps.tobytes()
+    _, ref_amps = reference_evolve(g, amps, marked, 1)
+    assert step(WalkState(amps, g), marked).amplitudes.tobytes() == ref_amps.tobytes()
+
+
+def test_evolve_allocates_no_state_sized_buffer_per_step():
+    g = torus2d_graph(128, 128)
+    assert g._coin_plan.slices is not None
+    state_bytes = g.arc_count * 8
+    traced = {}
+
+    def observer(t, _p):
+        if t == 5:  # after warm-up
+            tracemalloc.reset_peak()
+            traced["start"] = tracemalloc.get_traced_memory()[0]
+        elif t == 45:
+            traced["peak"] = tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        evolve(initial_state(g), [0, 1, 128, 129], 45, observer=observer)
+    finally:
+        tracemalloc.stop()
+    assert traced["peak"] - traced["start"] < state_bytes // 8
 
 
 class TestCoinPlan:
