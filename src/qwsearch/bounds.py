@@ -40,16 +40,12 @@ class BoundReport:
     total_bound: float
 
 
-def component_bound(comp, assignment: StationaryAssignment, edge_count: int | None = None) -> float:
-    """Probability ceiling contributed by one component under one assignment.
-
-    ``edge_count`` defaults to the component's host graph; passing it
-    explicitly supports evaluating the same component at a different host
-    size.
-    """
+def component_bound(comp, assignment: StationaryAssignment) -> float:
+    """Probability ceiling contributed by one component under one
+    assignment, with m the edge count of the component's host graph."""
     if assignment.component is not comp:
         raise ValueError("assignment does not solve this component")
-    m = comp.graph.edge_count if edge_count is None else int(edge_count)
+    m = comp.graph.edge_count
     if m <= 0:
         raise ValueError(f"edge count must be positive, got {m}")
     a0_sq = 1.0 / (2.0 * m)
@@ -58,16 +54,10 @@ def component_bound(comp, assignment: StationaryAssignment, edge_count: int | No
     )
 
 
-def total_bound(
-    assignments: Sequence[StationaryAssignment], edge_count: int | None = None
-) -> BoundReport:
-    """Sum of the component ceilings of disjoint assignments."""
+def total_bound(assignments: Sequence[StationaryAssignment]) -> BoundReport:
+    """Sum of the component ceilings of disjoint assignments; 0.0 for none."""
     _require_disjoint(assignments)
-    if edge_count is None:
-        if not assignments:
-            raise ValueError("edge_count is required when there are no assignments")
-        edge_count = assignments[0].component.graph.edge_count
-    terms = tuple(component_bound(asg.component, asg, edge_count) for asg in assignments)
+    terms = tuple(component_bound(asg.component, asg) for asg in assignments)
     return BoundReport(per_component=terms, total_bound=float(sum(terms)))
 
 

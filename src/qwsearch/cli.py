@@ -9,7 +9,7 @@ Subcommands::
 
 ``<marked>`` is a comma-separated vertex list, e.g. "3,4".  QWALK_THREADS
 caps sweep workers.  Exit statuses: 0 ok, 1 input error, 2 infeasible
-stationary request, 3 dominance/residual check failed.
+stationary request, 3 dominance/stationarity check failed.
 """
 
 from __future__ import annotations
@@ -131,9 +131,7 @@ def _cmd_verify(args) -> int:
     print(f"max_reverse_mismatch {check.max_reverse_mismatch:.17e}")
     for failure in check.failed_conditions:
         print(f"failed: {failure}")
-    if check.failed_conditions or not check.is_stationary:
-        return experiments.EXIT_CHECK_FAILED
-    return experiments.EXIT_OK
+    return experiments.EXIT_OK if check.is_stationary else experiments.EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

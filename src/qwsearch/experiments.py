@@ -20,6 +20,9 @@ Config document (strict JSON; unknown keys are rejected)::
       "report": "report.json"        # resolved inside the output directory
     }
 
+File names (``edge_list``, ``file``, ``csv``, ``report``) must be
+non-empty strings, and the CSV and report names must differ.
+
 Relative input paths are resolved against the config file's directory.
 The block pattern addresses torus2d graphs row-major, so it is only valid
 with the torus2d family.  The pairs pattern marks k pairwise
@@ -50,6 +53,7 @@ from . import bounds as bounds_mod
 from .graphs import Graph, _parse_int, generate, marked_components, read_edge_list
 from .stationary import (
     CONSTRAINT_TOL,
+    RESIDUAL_LIMIT,
     InfeasibleComponentError,
     assignments_from_coefficients,
     build_state,
@@ -84,9 +88,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_CHECK_FAILED = 3
 
-# Numerical slack for the dominance verdict and the stationarity residual.
+# Numerical slack for the dominance verdict.
 DOMINANCE_SLACK = 1e-9
-RESIDUAL_LIMIT = 1e-10
 
 _GRAPH_FAMILY_KEYS = {
     "cycle": {"n"},
@@ -115,8 +118,8 @@ class ExperimentConfig:
     marked: MarkedSpec
     t_max: int | None
     assignment_file: str | None  # None: solve for the minimum-norm assignment
-    csv_name: str | None
-    report_name: str | None
+    csv_name: str  # output file names inside the output directory
+    report_name: str
     base_dir: Path
     name: str
 
@@ -125,6 +128,14 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
+
+
+def _as_name(value, where: str) -> str:
+    """A non-empty JSON string, used as a file name; str() would turn null
+    into a file named 'None'."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{where} must be a non-empty string, got {json.dumps(value)}")
+    return value
 
 
 def _as_int(value, where: str) -> int:
@@ -144,7 +155,7 @@ def _parse_graph_spec(obj) -> GraphSpec:
     if has_family == has_edge_list:
         raise ValueError("graph: exactly one of 'family' and 'edge_list' is required")
     if has_edge_list:
-        return GraphSpec(family=None, params={}, edge_list=str(obj["edge_list"]))
+        return GraphSpec(family=None, params={}, edge_list=_as_name(obj["edge_list"], "graph.edge_list"))
     family = obj["family"]
     if not isinstance(family, str) or family not in _GRAPH_FAMILY_KEYS:
         raise ValueError(f"graph: unknown family {family!r}")
@@ -210,16 +221,20 @@ def load_config(path) -> ExperimentConfig:
     if assignment == "min_norm":
         assignment_file = None
     elif isinstance(assignment, dict) and set(assignment) == {"file"}:
-        assignment_file = str(assignment["file"])
+        assignment_file = _as_name(assignment["file"], f"{path}: assignment.file")
     else:
         raise ValueError(f"{path}: 'assignment' must be \"min_norm\" or {{\"file\": path}}")
+    csv_name = _as_name(obj["csv"], f"{path}: csv") if "csv" in obj else f"{path.stem}.csv"
+    report_name = _as_name(obj["report"], f"{path}: report") if "report" in obj else f"{path.stem}.json"
+    if Path(csv_name) == Path(report_name):
+        raise ValueError(f"{path}: the CSV and the report would both be written to {csv_name!r}")
     return ExperimentConfig(
         graph=_parse_graph_spec(obj["graph"]),
         marked=_parse_marked_spec(obj["marked"]),
         t_max=t_max,
         assignment_file=assignment_file,
-        csv_name=str(obj["csv"]) if "csv" in obj else None,
-        report_name=str(obj["report"]) if "report" in obj else None,
+        csv_name=csv_name,
+        report_name=report_name,
         base_dir=path.parent,
         name=path.stem,
     )
@@ -340,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
         )
     check = verify_stationary(g, marked, state)
     stationary_p = marked_probability(state, marked)
-    report_bounds = bounds_mod.total_bound(assignments, edge_count=g.edge_count)
+    report_bounds = bounds_mod.total_bound(assignments)
 
     t_max = cfg.t_max if cfg.t_max is not None else bounds_mod.default_step_budget(g)
     rows: list[tuple[int, float]] = []
@@ -355,8 +370,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
     evolve(initial_state(g), marked, t_max, observer=observe)
 
     dominance = best_p <= report_bounds.total_bound + DOMINANCE_SLACK
-    residual_ok = check.residual <= RESIDUAL_LIMIT and not check.failed_conditions
-    checks_passed = dominance and residual_ok
+    checks_passed = dominance and check.is_stationary
 
     report = {
         "config": cfg.name,
@@ -391,17 +405,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
         "checks_passed": checks_passed,
     }
 
-    csv_path = out_dir / (cfg.csv_name or f"{cfg.name}.csv")
-    json_path = out_dir / (cfg.report_name or f"{cfg.name}.json")
+    csv_path = out_dir / cfg.csv_name
+    json_path = out_dir / cfg.report_name
     csv_lines = ["t,p_marked"]
     csv_lines.extend(f"{t},{p:.17g}" for t, p in rows)
     csv_path.write_text("\n".join(csv_lines) + "\n")
     json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
+    if checks_passed:
+        msg = "ok"
+    elif not dominance:
+        msg = "dominance failed"
+    elif check.failed_conditions:
+        msg = "stationarity failed: " + "; ".join(check.failed_conditions)
+    else:
+        msg = "stationarity residual too large"
     code = EXIT_OK if checks_passed else EXIT_CHECK_FAILED
-    msg = "ok" if checks_passed else (
-        "dominance failed" if not dominance else "stationarity residual too large"
-    )
     return ExperimentOutcome(code, report, csv_path, json_path, msg)
 
 

@@ -8,9 +8,9 @@ same edge in the opposite direction.  Sorting neighbor lists ascending
 makes arc indices (and everything built on them) reproducible across runs
 and platforms.
 
-The cycle, torus2d and complete generators write these arrays directly
-from a neighbor table; :func:`build_graph` validates and converts an edge
-list, and serves edge-list files and random regular graphs.
+Every graph, generated or read from a file, comes from :func:`build_graph`,
+which validates an edge array, sorts its arc keys once and takes all five
+arrays, the reverse-arc map included, from that one sort.
 
 Graphs and marked components are immutable after construction and can be
 shared freely between concurrent workers.
@@ -296,26 +296,37 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
         if a == b:
             raise _EdgeError(i, f"self-loop at vertex {a}: edge ({a}, {b})")
         raise _EdgeError(i, f"edge ({a}, {b}) out of range for n={n}")
-    u, v = e.astype(np.int64, copy=False).T
-    if u.size:
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keys = src * n + dst
-        dup = np.nonzero(keys[1:] == keys[:-1])[0]
-        if dup.size:
-            a, b = sorted((int(src[dup[0]]), int(dst[dup[0]])))
-            again = np.flatnonzero((np.minimum(u, v) == a) & (np.maximum(u, v) == b))[1]
-            raise _EdgeError(int(again), f"duplicate edge ({a}, {b})")
-        degrees = np.bincount(src, minlength=n)
-        reverse = np.searchsorted(keys, dst * n + src).astype(np.int64)
-    else:
-        src = dst = reverse = np.empty(0, dtype=np.int64)
-        degrees = np.zeros(n, dtype=np.int64)
+    e = e.astype(np.int64, copy=False)
+    u, v = e.T
+    m = u.size
+    degrees = np.bincount(e.reshape(-1), minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    return Graph(n, offsets, dst, reverse, degrees, src)
+    arc_source = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    # Arc i < m runs u[i] -> v[i] and arc i + m runs v[i] -> u[i]; sorting
+    # their keys src * n + dst once gives the CSR order of every array.
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    order = np.argsort(keys, kind="stable")
+    targets = keys[order]
+    same = targets[1:] == targets[:-1]
+    if same.any():
+        a, b = sorted(divmod(int(targets[same.argmax()]), n))
+        again = np.flatnonzero((np.minimum(u, v) == a) & (np.maximum(u, v) == b))[1]
+        raise _EdgeError(int(again), f"duplicate edge ({a}, {b})")
+    np.remainder(targets, n, out=targets)
+    # Input arcs j and j + m (mod 2m) are each other's reverse.  With
+    # position the inverse of order, the arc at sorted position i has its
+    # reverse at position[order[i] - m], the index wrapped mod 2m.
+    position = keys  # the unsorted keys are no longer needed
+    position[order] = np.arange(2 * m, dtype=np.int64)
+    order -= m
+    reverse = np.take(position, order, mode="wrap")
+    del keys, position, order  # freed before Graph builds its coin plan
+    return Graph(n, offsets, targets, reverse, degrees, arc_source)
 
 
 # ---------------------------------------------------------------------------
@@ -323,58 +334,37 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _from_neighbor_table(table: np.ndarray) -> Graph:
-    """Build a d-regular simple graph from its (n, d) neighbor table.
-
-    Row v lists the d distinct neighbors of v, in any order.  Sorting the
-    rows gives the ports; offsets, degrees and arc sources follow by
-    arithmetic, and the reverse of arc (v -> w) is found by searching the
-    ascending arc keys ``src * n + dst`` for ``w * n + v``.  The arrays are
-    exactly those :func:`build_graph` gives for the same edges.
-    """
-    n, d = table.shape
-    dst = np.sort(table, axis=1).reshape(-1)
-    src = np.repeat(np.arange(n, dtype=np.int64), d)
-    keys = src * n + dst
-    reverse = np.searchsorted(keys, dst * n + src).astype(np.int64, copy=False)
-    offsets = np.arange(0, n * d + 1, d, dtype=np.int64)
-    return Graph(n, offsets, dst, reverse, np.full(n, d, dtype=np.int64), src)
-
-
 def cycle_graph(n: int) -> Graph:
-    """Cycle 0 - 1 - ... - (n-1) - 0, built as arrays (2-regular)."""
+    """Cycle 0 - 1 - ... - (n-1) - 0 (2-regular)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got n={n}")
     v = np.arange(n, dtype=np.int64)
-    return _from_neighbor_table(np.stack([(v - 1) % n, (v + 1) % n], axis=1))
+    return build_graph(np.stack([v, (v + 1) % n], axis=1), n)
 
 
 def torus2d_graph(rows: int, cols: int) -> Graph:
-    """Two-dimensional lattice with periodic boundaries (4-regular), built
-    as arrays.
+    """Two-dimensional lattice with periodic boundaries (4-regular).
 
     Vertices are numbered row-major: (r, c) -> r * cols + c.
     """
     if rows < 3 or cols < 3:
         raise ValueError(f"torus2d needs rows, cols >= 3, got {rows}x{cols}")
     n = rows * cols
-    row = np.arange(rows, dtype=np.int64)[:, None] * cols  # first vertex of each row
-    col = np.arange(cols, dtype=np.int64)[None, :]
-    table = np.stack(
-        [(row - cols) % n + col, row + (col - 1) % cols, row + (col + 1) % cols, (row + cols) % n + col],
-        axis=-1,
-    )
-    return _from_neighbor_table(table.reshape(n, 4))
+    v = np.arange(n, dtype=np.int64)
+    # Every right edge, then every down edge: each half of the arc keys
+    # comes in a few ascending runs, which the stable sort merges quickly.
+    edges = np.empty((2, n, 2), dtype=np.int64)
+    edges[:, :, 0] = v
+    edges[0, :, 1] = v - v % cols + (v + 1) % cols
+    edges[1, :, 1] = (v + cols) % n
+    return build_graph(edges.reshape(-1, 2), n)
 
 
 def complete_graph(n: int) -> Graph:
-    """Complete graph K_n, built as arrays ((n-1)-regular)."""
+    """Complete graph K_n ((n-1)-regular)."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
-    # Row v is 0..n-1 without v: column p holds p when p < v, else p + 1.
-    v = np.arange(n, dtype=np.int64)[:, None]
-    p = np.arange(n - 1, dtype=np.int64)[None, :]
-    return _from_neighbor_table(p + (p >= v))
+    return build_graph(np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64, copy=False), n)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -387,8 +377,6 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"random_regular needs 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"random_regular needs n*d even, got n={n}, d={d}")
-    if d == 0:
-        return build_graph([], n)
     rng = np.random.default_rng(seed)
 
     def suitable(edges, potential):
@@ -429,7 +417,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     for _ in range(1000):
         edges = try_pairing()
         if edges is not None:
-            return build_graph(sorted(edges), n)
+            return build_graph(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), n)
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 

@@ -28,6 +28,7 @@ from .walk import WalkState, step
 
 __all__ = [
     "CONSTRAINT_TOL",
+    "RESIDUAL_LIMIT",
     "StationaryAssignment",
     "InfeasibleComponentError",
     "StationarityCheck",
@@ -48,6 +49,10 @@ __all__ = [
 # is below this times max(1, |b|); disagreement with the bipartite balance
 # test would be a defect, not a tolerance question.
 CONSTRAINT_TOL = 1e-8
+
+# A state counts as stationary when its one-step residual and each of its
+# three condition measures are within this.
+RESIDUAL_LIMIT = 1e-10
 
 
 class InfeasibleComponentError(ValueError):
@@ -129,15 +134,11 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     return StationaryAssignment(comp, {e: float(c) for e, c in zip(edges, coeffs)})
 
 
-def make_assignment(
-    comp: MarkedComponent,
-    coefficients: Mapping[tuple[int, int], float],
-    tol: float = CONSTRAINT_TOL,
-) -> StationaryAssignment:
+def make_assignment(comp: MarkedComponent, coefficients: Mapping[tuple[int, int], float]) -> StationaryAssignment:
     """Wrap externally chosen coefficients, enforcing the vertex constraints.
 
-    The mapping must cover every internal edge of the component exactly;
-    per-vertex sums off by more than ``tol`` raise InfeasibleComponentError.
+    The mapping must cover every internal edge of the component exactly; per-vertex
+    sums off by more than CONSTRAINT_TOL raise InfeasibleComponentError.
     """
     coeffs = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
     expected = set(comp.internal_edges)
@@ -155,7 +156,7 @@ def make_assignment(
         totals[j] += c
     for v, total in totals.items():
         required = -comp.outgoing_degree[v]
-        if abs(total - required) > tol:
+        if abs(total - required) > CONSTRAINT_TOL:
             raise InfeasibleComponentError(
                 f"coefficient sum at vertex {v} is {total}, constraint requires {required}"
             )
@@ -163,9 +164,7 @@ def make_assignment(
 
 
 def assignments_from_coefficients(
-    components: Sequence[MarkedComponent],
-    coefficients: Mapping[tuple[int, int], float],
-    tol: float = CONSTRAINT_TOL,
+    components: Sequence[MarkedComponent], coefficients: Mapping[tuple[int, int], float]
 ) -> list[StationaryAssignment]:
     """Split one flat edge->coefficient mapping across several components."""
     remaining = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
@@ -176,7 +175,7 @@ def assignments_from_coefficients(
             if e not in remaining:
                 raise ValueError(f"assignment is missing internal edge {e}")
             sub[e] = remaining.pop(e)
-        out.append(make_assignment(comp, sub, tol=tol))
+        out.append(make_assignment(comp, sub))
     if remaining:
         raise ValueError(f"assignment has edges outside the marked components: {sorted(remaining)}")
     return out
@@ -240,38 +239,33 @@ class StationarityCheck:
 
     ``residual`` is the max-norm difference between the state and its
     one-step image; the remaining fields measure the three amplitude
-    conditions that characterize fixed points.
+    conditions that characterize fixed points.  The state passes when all
+    four are within RESIDUAL_LIMIT.
     """
 
     residual: float
     unmarked_amplitude_spread: float
     max_marked_vertex_sum: float
     max_reverse_mismatch: float
-    tolerance: float
 
     @property
     def failed_conditions(self) -> tuple[str, ...]:
-        # Written as "not within tolerance" so that a NaN measure fails.
+        # Written as "not within the limit" so that a NaN measure fails.
         failures = []
-        if not self.unmarked_amplitude_spread <= self.tolerance:
+        if not self.unmarked_amplitude_spread <= RESIDUAL_LIMIT:
             failures.append("unmarked amplitudes not all equal")
-        if not self.max_marked_vertex_sum <= self.tolerance:
+        if not self.max_marked_vertex_sum <= RESIDUAL_LIMIT:
             failures.append("marked vertex amplitudes do not sum to zero")
-        if not self.max_reverse_mismatch <= self.tolerance:
+        if not self.max_reverse_mismatch <= RESIDUAL_LIMIT:
             failures.append("reverse-arc amplitudes differ")
         return tuple(failures)
 
     @property
     def is_stationary(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual <= RESIDUAL_LIMIT and not self.failed_conditions
 
 
-def verify_stationary(
-    g: Graph,
-    marked: Iterable[int],
-    state: WalkState,
-    tolerance: float = 1e-10,
-) -> StationarityCheck:
+def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> StationarityCheck:
     """Measure how far a unit state is from being fixed by one search step."""
     if state.graph is not g:
         raise ValueError("state lives on a different graph")
@@ -290,7 +284,6 @@ def verify_stationary(
         unmarked_amplitude_spread=spread,
         max_marked_vertex_sum=vertex_sum,
         max_reverse_mismatch=mismatch,
-        tolerance=tolerance,
     )
 
 

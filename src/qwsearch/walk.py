@@ -116,6 +116,15 @@ def _port_sums(rows: np.ndarray, out: np.ndarray) -> None:
         np.add(rows[0], out, out=out)
 
 
+def _page_placed(size: int, quarter: int) -> np.ndarray:
+    """An uninitialised float64 array of ``size`` starting ``quarter``/4 of the way into a 4 KB page.
+    Left to malloc, the relative placement of the step's buffers moved a 128x128 torus step by up
+    to a third (about 65 vs 85 us, one thread on a 2-vCPU Xeon), whatever was allocated before."""
+    raw = np.empty(size + 512)
+    start = (1024 * quarter - raw.ctypes.data) % 4096 // 8
+    return raw[start : start + size]
+
+
 class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
@@ -132,15 +141,16 @@ class _Kernel:
     def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
         self.plan = plan = g._coin_plan
         d = plan.ports
+        self.x = _page_placed(amplitudes.size, 0)
         if d:
-            self.x = amplitudes.reshape(g.n, d).T.flatten()
+            self.x.reshape(d, g.n)[:] = amplitudes.reshape(g.n, d).T
             # Same order as ``arcs``, so _mass adds the same terms in turn.
             self.arcs = (arcs % d) * g.n + arcs // d
-            self.sums = np.empty(g.n)
+            self.sums = _page_placed(g.n, 2)
         else:
-            self.x = amplitudes.copy()
+            self.x[:] = amplitudes
             self.arcs = arcs
-        self.spare = np.empty_like(self.x)
+        self.spare = _page_placed(amplitudes.size, 1)
         if plan.slices is not None:
             # Slice views for both directions between the buffers, and the
             # fix-up buffers, so a step allocates nothing.

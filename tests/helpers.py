@@ -2,10 +2,12 @@
 
 The dense matrices are built straight from the operator definitions and
 stay independent of the matrix-free code paths they check; the sphere
-search is independent of the closed-form farthest point it checks.  The
-edge-list family builders, the pair-selection loop and the per-vertex
-coefficient check keep the straightforward formulations that the library's
-array code replaced, so the tests can require equal results.
+search is independent of the closed-form farthest point it checks, and
+the plain-Python CSR builder (sorted adjacency lists, reverse arcs found
+through a dict) of the single sort ``build_graph`` takes its arrays from.
+The edge-list family builders, the pair-selection loop and the per-vertex
+coefficient check keep the straightforward formulations that the
+library's array code replaced, so the tests can require equal results.
 ``SHIFT_GRAPHS`` are the port-major graphs the walk's row-sliced shift is
 checked on.
 """
@@ -119,6 +121,30 @@ def reference_family_graph(family: str, **params) -> Graph:
         n = params["n"]
         return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
     raise ValueError(f"no reference builder for family {family!r}")
+
+
+def reference_csr(edges, n: int) -> dict[str, np.ndarray]:
+    """The five CSR arrays of a simple graph, built in plain Python: each
+    vertex's sorted adjacency list gives its ports, and a dict from
+    (source, target) to arc index gives each arc's reverse."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[int(u)].append(int(v))
+        adjacency[int(v)].append(int(u))
+    offsets, targets, sources = [0], [], []
+    for v, neighbors in enumerate(adjacency):
+        targets.extend(sorted(neighbors))
+        sources.extend([v] * len(neighbors))
+        offsets.append(len(targets))
+    arc = {(s, t): i for i, (s, t) in enumerate(zip(sources, targets))}
+    arrays = {
+        "offsets": offsets,
+        "targets": targets,
+        "reverse": [arc[(t, s)] for s, t in zip(sources, targets)],
+        "degrees": [len(neighbors) for neighbors in adjacency],
+        "arc_source": sources,
+    }
+    return {name: np.array(values, dtype=np.int64) for name, values in arrays.items()}
 
 
 def select_disjoint_pairs_oracle(g: Graph, k: int, seed: int) -> list[int]:

@@ -152,13 +152,9 @@ class TestTotalBound:
         assert total_bound([asg]).total_bound == component_bound(comp, asg)
 
     def test_empty(self):
-        report = total_bound([], edge_count=512)
+        report = total_bound([])
         assert report.total_bound == 0.0
         assert report.per_component == ()
-
-    def test_empty_requires_edge_count(self):
-        with pytest.raises(ValueError, match="edge_count"):
-            total_bound([])
 
     def test_overlap_rejected(self, torus16):
         verts, _, _ = block_coefficients(16, 1, 1, 16, 16)

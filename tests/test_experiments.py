@@ -1,10 +1,12 @@
 import json
+import re
 
 import jsonschema
 import numpy as np
 import pytest
 
 from qwsearch import (
+    StationarityCheck,
     build_graph,
     cycle_graph,
     marked_components,
@@ -14,6 +16,7 @@ from qwsearch import (
     write_assignment_file,
     write_edge_list,
 )
+from qwsearch import experiments
 from qwsearch.cli import main
 from qwsearch.experiments import (
     EXIT_CHECK_FAILED,
@@ -133,6 +136,43 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="t_max must be an integer, got 2.5"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("csv", None), ("csv", ""), ("csv", 7),
+        ("report", None), ("report", ["r.json"]),
+        ("graph.edge_list", None), ("graph.edge_list", ""),
+        ("assignment.file", None), ("assignment.file", 3),
+    ])
+    def test_output_and_input_names_must_be_strings(self, tmp_path, key, value):
+        # str() used to turn null into a file named 'None' and exit 0.
+        obj = {"graph": {"family": "cycle", "n": 5}, "marked": {"vertices": [3, 4]}, "t_max": 5}
+        if key == "graph.edge_list":
+            obj["graph"] = {"edge_list": value}
+        elif key == "assignment.file":
+            obj["assignment"] = {"file": value}
+        else:
+            obj[key] = value
+        path = write_config(tmp_path / "c.json", obj)
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a non-empty string, got {json.dumps(value)}")):
+            load_config(path)
+        out = execute(path, tmp_path / "out")
+        assert out.exit_code == EXIT_INPUT_ERROR and "\n" not in out.message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("names", [
+        {"csv": "x", "report": "x"},
+        {"csv": "x.csv", "report": "./x.csv"},
+        {"csv": "cycle.json"},  # the default report name
+        {"report": "cycle.csv"},  # the default CSV name
+    ], ids=["same", "same_path", "csv_is_default_report", "report_is_default_csv"])
+    def test_one_name_for_both_artifacts_is_exit_1(self, tmp_path, capsys, names):
+        cfg = fig_cycle_config(tmp_path, **names)
+        with pytest.raises(ValueError, match="CSV and the report would both be written to"):
+            load_config(cfg)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestRun:
     def test_cycle_pair_passes(self, tmp_path):
@@ -217,6 +257,20 @@ class TestRun:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert "does not match the normalization scale" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("check, message", [
+        (StationarityCheck(0.0, 0.0, 0.0, 1.0), "stationarity failed: reverse-arc amplitudes differ"),
+        (StationarityCheck(1e-3, 1.0, 0.0, 0.0), "stationarity failed: unmarked amplitudes not all equal"),
+        (StationarityCheck(1e-3, 0.0, 0.0, 0.0), "stationarity residual too large"),
+    ], ids=["condition_only", "condition_and_residual", "residual_only"])
+    def test_failed_stationarity_is_named(self, tmp_path, monkeypatch, check, message):
+        # The run and `qwsearch verify` share StationarityCheck.is_stationary:
+        # a failed condition fails the run even when the residual is small.
+        monkeypatch.setattr(experiments, "verify_stationary", lambda g, marked, state: check)
+        out = execute(fig_cycle_config(tmp_path), tmp_path / "out")
+        assert out.exit_code == EXIT_CHECK_FAILED
+        assert out.message == message
+        assert out.report["checks_passed"] is False and out.report["dominance"] is True
 
     def test_t_max_default_applied(self, tmp_path):
         cfg = write_config(tmp_path / "d.json", {

@@ -20,6 +20,7 @@ from helpers import (
     SHIFT_GRAPHS,
     brute_force_bipartite,
     random_simple_graph,
+    reference_csr,
     reference_family_graph,
     select_disjoint_pairs_oracle,
 )
@@ -110,6 +111,48 @@ class TestBuildGraph:
         assert int(g.degrees.sum()) == g.arc_count
 
 
+@st.composite
+def shuffled_edge_lists(draw):
+    """A simple graph's edges in a random order and orientation."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))) if all_pairs else []
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+def assert_matches_reference_csr(g, edges, n):
+    want = reference_csr(edges, n)
+    assert g.n == n
+    for name, arr in want.items():
+        got = getattr(g, name)
+        assert got.dtype == np.int64 and not got.flags.writeable, name
+        assert np.array_equal(got, arr), name
+
+
+class TestBuildGraphMatchesReferenceCsr:
+    """build_graph's single sort against a plain-Python CSR builder."""
+
+    @given(shuffled_edge_lists())
+    def test_any_edge_order_and_orientation(self, case):
+        n, edges = case
+        assert_matches_reference_csr(build_graph(edges, n), edges, n)
+        assert_matches_reference_csr(build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n), edges, n)
+
+    def test_irregular_graph_with_isolated_vertices(self):
+        rng = np.random.default_rng(5)
+        n = 400
+        used = np.flatnonzero(np.arange(n) % 10 != 0)  # vertices 0, 10, 20, ... stay isolated
+        pairs = used[rng.integers(0, used.size, size=(3000, 2))]
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        _, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
+        edges = pairs[np.sort(first)]
+        g = build_graph(edges, n)
+        assert g.degrees.min() == 0 and g.degrees.max() > 2 * g.degrees[g.degrees > 0].min()
+        assert_matches_reference_csr(g, edges.tolist(), n)
+
+
 class TestGenerate:
     def test_cycle(self):
         assert generate("cycle", n=5).arc_count == 10
@@ -172,8 +215,9 @@ def _family_id(case):
 
 
 class TestArrayBuilders:
-    """The cycle, torus2d and complete generators write CSR arrays directly;
-    they must equal what build_graph makes from the same edges."""
+    """The cycle, torus2d and complete generators hand build_graph an edge
+    array in their own order; the graph must equal what build_graph makes
+    from the straightforward Python edge list."""
 
     @pytest.mark.parametrize("family,params", ARRAY_FAMILIES, ids=[_family_id(c) for c in ARRAY_FAMILIES])
     def test_matches_edge_list_build(self, family, params):

@@ -323,7 +323,7 @@ class TestVerifyStationary:
 
     def test_nan_measures_fail(self):
         nan = float("nan")
-        check = StationarityCheck(nan, nan, nan, nan, tolerance=1e-10)
+        check = StationarityCheck(nan, nan, nan, nan)
         assert len(check.failed_conditions) == 3
         assert not check.is_stationary
 

@@ -25,7 +25,7 @@ from qwsearch import (
     torus2d_graph,
     write_state_snapshot,
 )
-from qwsearch.walk import _port_sums
+from qwsearch.walk import _Kernel, _port_sums
 
 from helpers import (
     SHIFT_GRAPHS,
@@ -356,6 +356,19 @@ def test_evolve_allocates_no_state_sized_buffer_per_step():
     finally:
         tracemalloc.stop()
     assert traced["peak"] - traced["start"] < state_bytes // 8
+
+
+@pytest.mark.parametrize("build", [lambda: torus2d_graph(16, 16), irregular_graph], ids=["port_major", "segment"])
+def test_kernel_buffers_start_a_quarter_page_apart(build):
+    # Their relative placement sets the step's speed, so it must not depend
+    # on where malloc happens to put them.
+    g = build()
+    kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+    assert kernel.x.ctypes.data % 4096 == 0
+    assert kernel.spare.ctypes.data % 4096 == 1024
+    if g._coin_plan.ports:
+        assert kernel.sums.ctypes.data % 4096 == 2048
+    assert kernel.x.size == kernel.spare.size == g.arc_count
 
 
 class TestCoinPlan:
