@@ -21,7 +21,8 @@ Config document (strict JSON; unknown keys are rejected)::
     }
 
 File names (``edge_list``, ``file``, ``csv``, ``report``) must be
-non-empty strings, and the CSV and report names must differ.
+non-empty strings.  The CSV and report names must differ and be plain file
+names, with no directory part, so both land in the output directory.
 
 Relative input paths are resolved against the config file's directory.
 The block pattern addresses torus2d graphs row-major, so it is only valid
@@ -228,6 +229,9 @@ def load_config(path) -> ExperimentConfig:
     report_name = _as_name(obj["report"], f"{path}: report") if "report" in obj else f"{path.stem}.json"
     if Path(csv_name) == Path(report_name):
         raise ValueError(f"{path}: the CSV and the report would both be written to {csv_name!r}")
+    for key, name in (("csv", csv_name), ("report", report_name)):
+        if Path(name).name != name or name in (".", ".."):
+            raise ValueError(f"{path}: {key} must be a plain file name, got {json.dumps(name)}")
     return ExperimentConfig(
         graph=_parse_graph_spec(obj["graph"]),
         marked=_parse_marked_spec(obj["marked"]),

@@ -1,12 +1,11 @@
-"""Simple undirected graphs with port-numbered arcs.
+"""Simple undirected graphs stored as CSR arrays over their directed arcs.
 
 The walk state lives on directed arcs: a vertex ``v`` of degree ``d`` owns
-ports ``0..d-1``, port ``c`` pointing at the c-th smallest neighbor of
-``v``.  Arcs are stored CSR-style and indexed globally, so arc ``(v, c)``
-has index ``offsets[v] + c`` and ``reverse[i]`` is the arc traversing the
-same edge in the opposite direction.  Sorting neighbor lists ascending
-makes arc indices (and everything built on them) reproducible across runs
-and platforms.
+the arcs ``offsets[v] .. offsets[v] + d - 1``, the c-th of them pointing at
+the c-th smallest neighbor of ``v``, and ``reverse[i]`` is the arc
+traversing arc ``i``'s edge in the opposite direction.  Sorting neighbor
+lists ascending makes arc indices (and everything built on them)
+reproducible across runs and platforms.
 
 Every graph, generated or read from a file, comes from :func:`build_graph`,
 which validates an edge array, sorts its arc keys once and takes all five
@@ -53,19 +52,16 @@ class Graph:
     offsets : ndarray, shape (n+1,)
         CSR pointers; the arcs of vertex v are ``offsets[v]:offsets[v+1]``.
     targets : ndarray, shape (2m,)
-        Head vertex of each arc (the per-vertex slices are the sorted
-        neighbor lists).
+        Head vertex of each arc (each vertex's arcs list its neighbors in
+        ascending order).
     reverse : ndarray, shape (2m,)
         Involution mapping each arc to the arc pointing back.
     degrees : ndarray, shape (n,)
     arc_source : ndarray, shape (2m,)
         Tail vertex of each arc.
 
-    Construction also picks the coin plan the walk's step kernel uses on
-    this graph (see :class:`_CoinPlan`): port-major when every vertex has
-    the same degree d with 1 <= d <= 8, segment-wise otherwise, and row
-    slices for the shift when a port-major plan's shift mostly moves whole
-    rows.
+    ``_walk_plan`` is an opaque private slot: the walk fills it on the
+    graph's first walk and reuses it on every later one.
     """
 
     __slots__ = (
@@ -75,7 +71,7 @@ class Graph:
         "reverse",
         "degrees",
         "arc_source",
-        "_coin_plan",
+        "_walk_plan",
     )
 
     def __init__(self, n, offsets, targets, reverse, degrees, arc_source):
@@ -87,7 +83,7 @@ class Graph:
         self.arc_source = arc_source
         for arr in (offsets, targets, reverse, degrees, arc_source):
             arr.setflags(write=False)
-        self._coin_plan = _CoinPlan.build(self)
+        self._walk_plan = None
 
     @property
     def arc_count(self) -> int:
@@ -113,12 +109,6 @@ class Graph:
             raise ValueError(f"vertex {v} has no port {port} (degree {self.degree(v)})")
         return int(self.offsets[v] + port)
 
-    def arc_endpoints(self, arc: int) -> tuple[int, int]:
-        return int(self.arc_source[arc]), int(self.targets[arc])
-
-    def arc_port(self, arc: int) -> int:
-        return int(arc - self.offsets[self.arc_source[arc]])
-
     def arc_between(self, u: int, v: int) -> int:
         """Index of the arc from u to v; raises if (u, v) is not an edge."""
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -129,13 +119,6 @@ class Graph:
             raise ValueError(f"no edge between {u} and {v}")
         return pos
 
-    def has_edge(self, u: int, v: int) -> bool:
-        try:
-            self.arc_between(u, v)
-        except ValueError:
-            return False
-        return True
-
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         mask = self.arc_source < self.targets
@@ -143,124 +126,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-# Most ports a port-major coin plan handles.  A vertex's coin sum must
-# equal np.add.reduceat's, a0 + (((a1 + a2) + a3) + ...): numpy adds fewer
-# than 8 elements sequentially but sums 8 or more pairwise, so row adds
-# reproduce it bit for bit only up to d = 8.
-_PORT_MAJOR_MAX_DEGREE = 8
-
-# Most fix-ups, as a fraction of the arcs, for which a port-major plan
-# fuses the coin's subtract into the shift (see _CoinPlan).  A fix-up costs
-# two gathers and a scatter where a slice entry costs one streamed
-# subtract.  Per step on 4-regular tori of 2^16 arcs (one thread, 2-vCPU
-# Xeon, numpy 2.4), the fused step took 0.44-0.49 of the gather step's
-# time at 3-8% fix-ups, 0.75-0.84 at 16-21%, 0.93-0.95 at 31% and 1.1-1.8
-# at 42-67%; at 2^20 arcs, 0.56 at 31% and 1.55 at 63%.  The crossover is
-# near 1/3; 1/4 keeps a margin below it.  Random regular graphs are almost
-# all fix-ups (twice the gather step's time) and never qualify.
-_SLICE_MAX_FIX_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class _CoinPlan:
-    """Arc layout and coin bookkeeping for the walk's step kernel.
-
-    Built once per graph.  A port-major plan (``ports`` = d) serves graphs
-    whose vertices all have degree d, 1 <= d <= 8: the kernel holds the
-    amplitudes as a (d, n) array whose row p is port p of every vertex, so
-    the coin is d - 1 contiguous row adds and one broadcast subtract.
-    Every other graph gets a segment plan (``ports`` = 0): amplitudes stay
-    in global arc order, np.add.reduceat sums the non-isolated vertices'
-    segments and a rank gather broadcasts the sums back.
-
-    ``shift`` maps each position of the plan's layout to the position of
-    its reverse arc.  Its range is checked here, once, so the kernel can
-    gather with ``mode="wrap"`` and skip numpy's per-call bounds check.
-
-    A port-major plan whose shift mostly moves whole rows also carries
-    ``slices``: for each destination row q, a tuple ``(p, k, lo, hi)``
-    saying that positions ``lo:hi`` of row q read row p at vertex offset k,
-    so the kernel writes ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight
-    into them.  ``lo`` and ``hi - 1`` are the first and last positions that
-    read (p, k).  Every other position, outside ``lo:hi`` or inside it but
-    reading elsewhere, is a fix-up: ``fix`` lists them in ascending order,
-    ``fix_src`` is ``shift[fix]`` and ``fix_v`` its vertex, and the kernel
-    writes ``sums[fix_v] - x[fix_src]`` to them after the slices.  Plans
-    with more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups keep
-    ``slices`` None and gather with ``shift``.
-    """
-
-    ports: int
-    shift: np.ndarray
-    scale: float | np.ndarray  # 2/d, or 2/degree per non-isolated vertex
-    starts: np.ndarray | None = None  # segment plan: first arc of each non-isolated vertex
-    rank: np.ndarray | None = None  # segment plan: arc -> index into starts
-    slices: tuple[tuple[int, int, int, int], ...] | None = None
-    fix: np.ndarray | None = None
-    fix_src: np.ndarray | None = None
-    fix_v: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, g: Graph) -> "_CoinPlan":
-        n, degrees = g.n, g.degrees
-        d = int(degrees[0]) if n else 0
-        port_major = 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d))
-        if port_major:
-            # Arc v*d + p sits at position p*n + v.  Its reverse r = w*d + q,
-            # with w its target, sits at (r - w*d)*n + w = r*n - w*(d*n - 1).
-            shift = np.empty((d, n), dtype=np.int64)
-            np.multiply(g.reverse.reshape(n, d).T, n, out=shift)
-            shift -= g.targets.reshape(n, d).T * (d * n - 1)
-            shift = shift.reshape(-1)
-        else:
-            shift = g.reverse
-        if shift.size and not (shift.min() >= 0 and shift.max() < g.arc_count):
-            raise ValueError("reverse-arc map points outside the arc range")
-        if port_major:
-            plan = cls(d, shift, 2.0 / d, **_slice_fields(shift.reshape(d, n)))
-        else:
-            # Degree-0 vertices own no arcs and must be skipped:
-            # np.add.reduceat cannot represent empty segments.
-            positive = degrees > 0
-            rank = np.cumsum(positive) - 1
-            plan = cls(0, shift, 2.0 / degrees[positive], starts=g.offsets[:-1][positive], rank=rank[g.arc_source])
-        for arr in (plan.shift, plan.scale, plan.starts, plan.rank, plan.fix, plan.fix_src, plan.fix_v):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        return plan
-
-
-def _slice_fields(shift: np.ndarray) -> dict:
-    """The slice fields of a port-major plan with this (d, n) shift, or no
-    fields if its fix-ups would exceed _SLICE_MAX_FIX_FRACTION of the arcs.
-
-    Row q's (p, k) is its most common source row p, then the most common
-    vertex offset k among the positions reading row p: two bincounts per
-    row, so the build is O(arcs) with no sort.
-    """
-    d, n = shift.shape
-    budget = shift.size * _SLICE_MAX_FIX_FRACTION
-    v = np.arange(n, dtype=np.int64)
-    slices, fixes, fix_count = [], [], 0
-    for q, src in enumerate(shift):
-        src_row = src // n
-        p = int(np.bincount(src_row, minlength=d).argmax())
-        delta = src - v  # p*n + k where position v reads (p, v + k)
-        k = int(np.bincount(delta[src_row == p] - (p * n - n)).argmax()) - n
-        reads = delta == p * n + k
-        reads[: max(0, -k)] = False  # these read row p - 1 or p + 1
-        reads[min(n, n - k) :] = False
-        slices.append((p, k, int(reads.argmax()), n - int(reads[::-1].argmax())))
-        miss = np.flatnonzero(~reads)
-        fix_count += miss.size
-        if fix_count > budget:
-            return {}
-        fixes.append(miss + q * n)
-    fix = np.concatenate(fixes)
-    fix_src = shift.reshape(-1)[fix]
-    return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
 
 
 class _EdgeError(ValueError):
@@ -274,7 +139,7 @@ class _EdgeError(ValueError):
 def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     """Build a graph from unordered vertex pairs, or an (m, 2) integer array.
 
-    Ports are assigned in ascending neighbor order and the reverse-arc map
+    Each vertex's arcs follow ascending neighbor order and the reverse-arc map
     is fully populated.  Self-loops, duplicate edges (in either
     orientation), and out-of-range endpoints are rejected, naming the
     offending edge: the first self-loop or out-of-range edge in input
@@ -325,7 +190,6 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     position[order] = np.arange(2 * m, dtype=np.int64)
     order -= m
     reverse = np.take(position, order, mode="wrap")
-    del keys, position, order  # freed before Graph builds its coin plan
     return Graph(n, offsets, targets, reverse, degrees, arc_source)
 
 

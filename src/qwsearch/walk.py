@@ -13,20 +13,17 @@ states and never mutate their input.
 
 The step is written once, in ``_Kernel``: ``evolve`` runs it in a loop,
 ``step`` runs it once and ``apply_coin`` runs its coin.  It works on two
-buffers allocated per call, laid out by the coin plan the graph picked
-when it was built.  On a d-regular graph with d <= 8 the plan is
-port-major: the state is a (d, n) array and the coin sums are d - 1 row
-adds in the order np.add.reduceat uses, a0 + (((a1 + a2) + a3) + ...).
-Where the shift mostly moves whole rows, as on tori and cycles, the coin's
-subtract writes straight into the shifted positions, one row slice per
-port plus a small fix-up gather, and the buffers swap roles each step;
-elsewhere, as on random regular graphs, the coin's image is gathered
-through the shift.  numpy sums 8 or more elements pairwise, so beyond
-d = 8 row adds would change the last bits; those graphs, complete graphs
-and irregular graphs use the segment plan (np.add.reduceat over each
-vertex's arcs).  Every plan computes each amplitude by the same
-operations, so all give results bit for bit equal to each other and to
-the step as written above.
+buffers allocated per call, laid out by a coin plan (``_CoinPlan``) that
+the walk builds on a graph's first walk and keeps on the graph for every
+later one.  On a d-regular graph with d <= 8 the plan is port-major: the
+state is a (d, n) array and the coin sums are d - 1 row adds.  Where the
+shift mostly moves whole rows, as on tori and cycles, the coin's subtract
+writes straight into the shifted positions, one row slice per port plus a
+small fix-up gather; elsewhere the coin's image is gathered through the
+shift.  Regular graphs with d > 8 and irregular graphs use the segment
+plan (np.add.reduceat over each vertex's arcs).  Every plan computes each
+amplitude by the same operations, so all give results bit for bit equal
+to each other and to the step as written above.
 """
 
 from __future__ import annotations
@@ -125,6 +122,135 @@ def _page_placed(size: int, quarter: int) -> np.ndarray:
     return raw[start : start + size]
 
 
+# Most ports a port-major coin plan handles.  A vertex's coin sum must
+# equal np.add.reduceat's, a0 + (((a1 + a2) + a3) + ...): numpy adds fewer
+# than 8 elements sequentially but sums 8 or more pairwise, so the row adds
+# of _port_sums reproduce it bit for bit only up to d = 8.
+_PORT_MAJOR_MAX_DEGREE = 8
+
+# Most fix-ups, as a fraction of the arcs, for which a port-major plan
+# fuses the coin's subtract into the shift (see _CoinPlan).  A fix-up costs
+# two gathers and a scatter where a slice entry costs one streamed
+# subtract.  Per step on 4-regular tori of 2^16 arcs (one thread, 2-vCPU
+# Xeon, numpy 2.4), the fused step took 0.44-0.49 of the gather step's
+# time at 3-8% fix-ups, 0.75-0.84 at 16-21%, 0.93-0.95 at 31% and 1.1-1.8
+# at 42-67%; at 2^20 arcs, 0.56 at 31% and 1.55 at 63%.  The crossover is
+# near 1/3; 1/4 keeps a margin below it.  Random regular graphs are almost
+# all fix-ups (twice the gather step's time) and never qualify.
+_SLICE_MAX_FIX_FRACTION = 0.25
+
+
+@dataclass(frozen=True)
+class _CoinPlan:
+    """Arc layout and coin bookkeeping for the step kernel on one graph.
+
+    A port-major plan (``ports`` = d) serves graphs whose vertices all have
+    degree d, 1 <= d <= _PORT_MAJOR_MAX_DEGREE: the kernel holds the
+    amplitudes as a (d, n) array whose row p is port p of every vertex, so
+    the coin is d - 1 contiguous row adds and one broadcast subtract.
+    Every other graph gets a segment plan (``ports`` = 0): amplitudes stay
+    in global arc order, np.add.reduceat sums the non-isolated vertices'
+    segments and a rank gather broadcasts the sums back.
+
+    The shift maps each position of the plan's layout to the position of
+    its reverse arc.  Its range is checked when the plan is built, so the
+    kernel can gather with ``mode="wrap"`` and skip numpy's per-call bounds
+    check.
+
+    A port-major plan whose shift mostly moves whole rows carries
+    ``slices`` instead of ``shift``: for each destination row q, a tuple
+    ``(p, k, lo, hi)`` saying that positions ``lo:hi`` of row q read row p
+    at vertex offset k, so the kernel writes
+    ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight into them.  ``lo``
+    and ``hi - 1`` are the first and last positions that read (p, k).
+    Every other position, outside ``lo:hi`` or inside it but reading
+    elsewhere, is a fix-up: ``fix`` lists them in ascending order,
+    ``fix_src`` is the shift at ``fix`` and ``fix_v`` its vertex, and the
+    kernel writes ``sums[fix_v] - x[fix_src]`` to them after the slices.
+    Plans with more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups
+    keep ``slices`` None and gather with ``shift``.
+    """
+
+    ports: int
+    shift: np.ndarray | None  # None when the plan has slices
+    scale: float | np.ndarray  # 2/d, or 2/degree per non-isolated vertex
+    starts: np.ndarray | None = None  # segment plan: first arc of each non-isolated vertex
+    rank: np.ndarray | None = None  # segment plan: arc -> index into starts
+    slices: tuple[tuple[int, int, int, int], ...] | None = None
+    fix: np.ndarray | None = None
+    fix_src: np.ndarray | None = None
+    fix_v: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, g: Graph) -> "_CoinPlan":
+        n, degrees = g.n, g.degrees
+        d = int(degrees[0]) if n else 0
+        port_major = 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d))
+        if port_major:
+            # Arc v*d + p sits at position p*n + v.  Its reverse r = w*d + q,
+            # with w its target, sits at (r - w*d)*n + w = r*n - w*(d*n - 1).
+            shift = np.empty((d, n), dtype=np.int64)
+            np.multiply(g.reverse.reshape(n, d).T, n, out=shift)
+            shift -= g.targets.reshape(n, d).T * (d * n - 1)
+            shift = shift.reshape(-1)
+        else:
+            shift = g.reverse
+        if shift.size and not (shift.min() >= 0 and shift.max() < g.arc_count):
+            raise ValueError("reverse-arc map points outside the arc range")
+        if port_major:
+            sliced = _slice_fields(shift.reshape(d, n))
+            plan = cls(d, None if sliced else shift, 2.0 / d, **sliced)
+        else:
+            # Degree-0 vertices own no arcs and must be skipped:
+            # np.add.reduceat cannot represent empty segments.
+            positive = degrees > 0
+            rank = np.cumsum(positive) - 1
+            plan = cls(0, shift, 2.0 / degrees[positive], starts=g.offsets[:-1][positive], rank=rank[g.arc_source])
+        for arr in (plan.shift, plan.scale, plan.starts, plan.rank, plan.fix, plan.fix_src, plan.fix_v):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        return plan
+
+
+def _slice_fields(shift: np.ndarray) -> dict:
+    """The slice fields of a port-major plan with this (d, n) shift, or no
+    fields if its fix-ups would exceed _SLICE_MAX_FIX_FRACTION of the arcs.
+
+    Row q's (p, k) is its most common source row p, then the most common
+    vertex offset k among the positions reading row p: two bincounts per
+    row, so the build is O(arcs) with no sort.
+    """
+    d, n = shift.shape
+    budget = shift.size * _SLICE_MAX_FIX_FRACTION
+    v = np.arange(n, dtype=np.int64)
+    slices, fixes, fix_count = [], [], 0
+    for q, src in enumerate(shift):
+        src_row = src // n
+        p = int(np.bincount(src_row, minlength=d).argmax())
+        delta = src - v  # p*n + k where position v reads (p, v + k)
+        k = int(np.bincount(delta[src_row == p] - (p * n - n)).argmax()) - n
+        reads = delta == p * n + k
+        reads[: max(0, -k)] = False  # these read row p - 1 or p + 1
+        reads[min(n, n - k) :] = False
+        slices.append((p, k, int(reads.argmax()), n - int(reads[::-1].argmax())))
+        miss = np.flatnonzero(~reads)
+        fix_count += miss.size
+        if fix_count > budget:
+            return {}
+        fixes.append(miss + q * n)
+    fix = np.concatenate(fixes)
+    fix_src = shift.reshape(-1)[fix]
+    return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
+
+
+def _coin_plan(g: Graph) -> _CoinPlan:
+    """``g``'s coin plan, built on its first call and kept on the graph."""
+    plan = g._walk_plan
+    if plan is None:
+        plan = g._walk_plan = _CoinPlan.build(g)
+    return plan
+
+
 class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
@@ -133,13 +259,17 @@ class _Kernel:
     coin's image goes straight to its shifted position in ``spare``: one
     subtract per destination row, then the fix-ups, after which the two
     buffers swap roles.  Other plans write the coin's image to ``spare``
-    and gather it back into ``x`` through ``shift``.  A kernel belongs to
-    one call; graphs (and their plans) are shared between threads, so the
-    buffers live here, not on the graph.
+    and gather it back into ``x`` through ``shift``.
+
+    A kernel belongs to one call, so its buffers live here.  The plan is
+    read-only and lives on the graph, which threads share: the first kernel
+    on a graph builds it and every later one reuses it.  Two threads that
+    race on a graph's first walk both build the same plan, and the single
+    attribute store keeps one of them, so no lock is needed.
     """
 
     def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
-        self.plan = plan = g._coin_plan
+        self.plan = plan = _coin_plan(g)
         d = plan.ports
         self.x = _page_placed(amplitudes.size, 0)
         if d:

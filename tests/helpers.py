@@ -9,7 +9,7 @@ The edge-list family builders, the pair-selection loop and the per-vertex
 coefficient check keep the straightforward formulations that the
 library's array code replaced, so the tests can require equal results.
 ``SHIFT_GRAPHS`` are the port-major graphs the walk's row-sliced shift is
-checked on.
+checked on, against the plain port-major shift of :func:`port_major_shift`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,17 @@ SHIFT_GRAPHS = {
     "complete5": lambda: complete_graph(5),
     "random_regular": lambda: random_regular_graph(200, 4, seed=3),
 }
+
+
+def port_major_shift(g: Graph) -> np.ndarray:
+    """The shift of a d-regular graph's port-major layout, in which arc
+    v*d + p sits at position p*n + v: each position's reverse arc r, with
+    w its source, sits at (r - w*d)*n + w = r*n - w*(d*n - 1)."""
+    n = g.n
+    d = g.arc_count // n
+    r = g.reverse.reshape(n, d).T
+    w = g.targets.reshape(n, d).T  # arc v*d + p points at the source of its reverse
+    return (r * n - w * (d * n - 1)).reshape(-1)
 
 
 def dense_query(g: Graph, marked) -> np.ndarray:

@@ -173,6 +173,23 @@ class TestConfigParsing:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, name", [
+        ("csv", "../escape.csv"),  # used to write outside --out-dir and exit 0
+        ("csv", "sub/x.csv"),  # used to run the whole simulation, then fail on the missing directory
+        ("report", ".."),
+        ("report", "."),
+        ("report", "/abs.json"),
+    ], ids=["parent_dir", "sub_dir", "dotdot", "dot", "absolute"])
+    def test_output_name_with_a_directory_part_is_exit_1(self, tmp_path, capsys, key, name):
+        cfg = fig_cycle_config(tmp_path, **{key: name})
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a plain file name, got {json.dumps(name)}")):
+            load_config(cfg)
+        out_dir = tmp_path / "o"
+        assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert not out_dir.exists() and not (tmp_path / "escape.csv").exists()
+
 
 class TestRun:
     def test_cycle_pair_passes(self, tmp_path):

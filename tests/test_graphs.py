@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import qwsearch.graphs as graphs
+import qwsearch.walk as walk
 from qwsearch import (
     build_graph,
     complete_graph,
@@ -15,10 +15,12 @@ from qwsearch import (
     write_edge_list,
 )
 from qwsearch.experiments import select_disjoint_pairs
+from qwsearch.walk import _coin_plan
 
 from helpers import (
     SHIFT_GRAPHS,
     brute_force_bipartite,
+    port_major_shift,
     random_simple_graph,
     reference_csr,
     reference_family_graph,
@@ -91,8 +93,9 @@ class TestBuildGraph:
     def test_arc_between_and_ports(self):
         g = cycle_graph(5)
         arc = g.arc_between(3, 4)
-        assert g.arc_endpoints(arc) == (3, 4)
-        assert g.arc_index(3, g.arc_port(arc)) == arc
+        assert (g.arc_source[arc], g.targets[arc]) == (3, 4)
+        assert g.offsets[3] <= arc < g.offsets[4]
+        assert g.arc_index(3, arc - g.offsets[3]) == arc
         with pytest.raises(ValueError, match="no edge"):
             g.arc_between(0, 2)
 
@@ -107,7 +110,7 @@ class TestBuildGraph:
     @given(small_graphs())
     def test_adjacency_symmetric_and_degree_sum(self, g):
         for u, v in g.edge_list():
-            assert g.has_edge(u, v) and g.has_edge(v, u)
+            assert g.targets[g.arc_between(u, v)] == v and g.targets[g.arc_between(v, u)] == u
         assert int(g.degrees.sum()) == g.arc_count
 
 
@@ -230,21 +233,26 @@ class TestArrayBuilders:
             assert not got.flags.writeable, name
             assert np.array_equal(got, want), name
         # complete(10) is the one case here above the port-major degree limit
-        assert g._coin_plan.ports == ref._coin_plan.ports
-        assert np.array_equal(g._coin_plan.shift, ref._coin_plan.shift)
+        plan, ref_plan = _coin_plan(g), _coin_plan(ref)
+        assert plan.ports == ref_plan.ports
+        for name in ("shift", "fix", "fix_src", "fix_v"):
+            assert np.array_equal(getattr(plan, name), getattr(ref_plan, name)), name
+        assert plan.slices == ref_plan.slices
+        if plan.ports and plan.slices is None:
+            assert np.array_equal(plan.shift, port_major_shift(g))
 
 
 def assert_row_slices_cover_the_shift(g):
     """Every position of a sliced plan is written either by exactly one
     correct slice entry or by one fix-up, and never by both."""
-    plan, n = g._coin_plan, g.n
+    plan, n = _coin_plan(g), g.n
     d = plan.ports
-    shift = plan.shift.reshape(d, n)
-    assert len(plan.slices) == d
+    shift = port_major_shift(g).reshape(d, n)
+    assert len(plan.slices) == d and plan.shift is None
     for arr in (plan.fix, plan.fix_src, plan.fix_v):
         assert arr.dtype == np.int64 and not arr.flags.writeable
     assert np.all(np.diff(plan.fix) > 0)  # ascending, so each fix-up once
-    assert np.array_equal(plan.fix_src, plan.shift[plan.fix])
+    assert np.array_equal(plan.fix_src, shift.reshape(-1)[plan.fix])
     assert np.array_equal(plan.fix_v, plan.fix_src % n)
     fixed = np.zeros(d * n, dtype=bool)
     fixed[plan.fix] = True
@@ -257,7 +265,7 @@ def assert_row_slices_cover_the_shift(g):
         assert right[0] and right[-1]  # no slice entry past the first and last correct one
         by_slice[q, lo:hi] = right
     assert np.all(by_slice ^ fixed)
-    assert plan.fix.size <= graphs._SLICE_MAX_FIX_FRACTION * g.arc_count
+    assert plan.fix.size <= walk._SLICE_MAX_FIX_FRACTION * g.arc_count
 
 
 class TestShiftSlices:
@@ -278,15 +286,16 @@ class TestShiftSlices:
     ], ids=["torus128", "torus64x48", "cycle1000", "cycle64", "torus3x3", "torus5x7", "cycle5",
             "complete5", "random_regular200", "random_regular2000", "complete10"])
     def test_plan_choice(self, build, sliced):
-        plan = build()._coin_plan
+        plan = _coin_plan(build())
         assert (plan.slices is not None) == sliced
+        assert (plan.shift is None) == sliced  # a sliced step never gathers through the shift
         if not sliced:
             assert plan.fix is None and plan.fix_src is None and plan.fix_v is None
 
     @pytest.mark.parametrize("name", sorted(SHIFT_GRAPHS))
     def test_every_position_is_written_once(self, name, monkeypatch):
         # Slice every port-major graph, however many fix-ups it needs.
-        monkeypatch.setattr(graphs, "_SLICE_MAX_FIX_FRACTION", 1.0)
+        monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
         assert_row_slices_cover_the_shift(SHIFT_GRAPHS[name]())
 
     @pytest.mark.parametrize("rows, cols", [(16, 16), (128, 128), (64, 48)])
@@ -294,7 +303,7 @@ class TestShiftSlices:
         # Interior vertices read their up, left, right and down neighbors'
         # ports 3, 2, 1 and 0 at vertex offsets -cols, -1, +1 and +cols.
         g = torus2d_graph(rows, cols)
-        assert [s[:2] for s in g._coin_plan.slices] == [(3, -cols), (2, -1), (1, 1), (0, cols)]
+        assert [s[:2] for s in _coin_plan(g).slices] == [(3, -cols), (2, -1), (1, 1), (0, cols)]
         assert_row_slices_cover_the_shift(g)
 
     def test_cycle_fix_ups_are_the_wrap_around(self):
@@ -302,8 +311,9 @@ class TestShiftSlices:
         # the arcs of 0 and n-1 and the arcs of 1 and n-2 that point at them
         # read from elsewhere: six fix-ups out of 2n positions.
         g = cycle_graph(1000)
-        assert g._coin_plan.slices == ((1, -1, 2, 999), (0, 1, 1, 998))
-        assert g._coin_plan.fix.tolist() == [0, 1, 999, 1000, 1998, 1999]
+        plan = _coin_plan(g)
+        assert plan.slices == ((1, -1, 2, 999), (0, 1, 1, 998))
+        assert plan.fix.tolist() == [0, 1, 999, 1000, 1998, 1999]
         assert_row_slices_cover_the_shift(g)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import qwsearch.graphs as graphs
+import qwsearch.walk as walk
 from qwsearch import (
     Graph,
     NormDriftError,
@@ -18,14 +18,17 @@ from qwsearch import (
     cycle_graph,
     evolve,
     initial_state,
+    marked_components,
     marked_probability,
     random_regular_graph,
+    read_edge_list,
     read_state_snapshot,
     step,
     torus2d_graph,
+    write_edge_list,
     write_state_snapshot,
 )
-from qwsearch.walk import _Kernel, _port_sums
+from qwsearch.walk import _CoinPlan, _Kernel, _coin_plan, _port_sums
 
 from helpers import (
     SHIFT_GRAPHS,
@@ -325,9 +328,9 @@ class TestStepKernel:
 @pytest.mark.parametrize("name", sorted(SHIFT_GRAPHS))
 def test_row_slices_match_reference_however_many_fix_ups(name, monkeypatch):
     """Every port-major graph sliced, fix-ups and all, against the plain loop."""
-    monkeypatch.setattr(graphs, "_SLICE_MAX_FIX_FRACTION", 1.0)
+    monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
     g, amps, marked = kernel_case(name)
-    assert g._coin_plan.slices is not None
+    assert _coin_plan(g).slices is not None
     seen = []
     out = evolve(WalkState(amps, g), marked, 30, observer=lambda t, p: seen.append(p))
     ref_seen, ref_amps = reference_evolve(g, amps, marked, 30)
@@ -339,7 +342,7 @@ def test_row_slices_match_reference_however_many_fix_ups(name, monkeypatch):
 
 def test_evolve_allocates_no_state_sized_buffer_per_step():
     g = torus2d_graph(128, 128)
-    assert g._coin_plan.slices is not None
+    assert _coin_plan(g).slices is not None
     state_bytes = g.arc_count * 8
     traced = {}
 
@@ -366,7 +369,7 @@ def test_kernel_buffers_start_a_quarter_page_apart(build):
     kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
     assert kernel.x.ctypes.data % 4096 == 0
     assert kernel.spare.ctypes.data % 4096 == 1024
-    if g._coin_plan.ports:
+    if kernel.plan.ports:
         assert kernel.sums.ctypes.data % 4096 == 2048
     assert kernel.x.size == kernel.spare.size == g.arc_count
 
@@ -382,7 +385,7 @@ class TestCoinPlan:
         (lambda: build_graph([], 3), 0),
     ])
     def test_plan_choice(self, build, ports):
-        assert build()._coin_plan.ports == ports
+        assert _coin_plan(build()).ports == ports
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_port_sums_match_reduceat(self, d):
@@ -403,8 +406,28 @@ class TestCoinPlan:
         g = build()
         reverse = g.reverse.copy()
         reverse[0] = g.arc_count
+        bad = Graph(g.n, g.offsets, g.targets, reverse, g.degrees, g.arc_source)
+        # The plan build checks the range before any kernel gathers with mode="wrap".
         with pytest.raises(ValueError, match="outside the arc range"):
-            Graph(g.n, g.offsets, g.targets, reverse, g.degrees, g.arc_source)
+            step(initial_state(bad), [0])
+
+    def test_plan_is_built_once_on_the_first_walk(self, monkeypatch, tmp_path):
+        built = []
+        build = _CoinPlan.build.__func__
+        monkeypatch.setattr(_CoinPlan, "build", classmethod(lambda cls, g: built.append(g) or build(cls, g)))
+        g = torus2d_graph(16, 16)
+        write_edge_list(g, tmp_path / "g.txt")
+        read_edge_list(tmp_path / "g.txt")
+        marked_components(g, [0, 1, 17])
+        g.neighbors(3), g.arc_between(0, 1), g.arc_index(2, 3)
+        assert built == []  # building or reading a graph builds no plan
+        s = initial_state(g)
+        evolve(step(s, [0]), [0], 3)
+        apply_coin(s)
+        assert built == [g]
+        kernels = [_Kernel(g, s.amplitudes, np.empty(0, dtype=np.int64)) for _ in range(2)]
+        assert kernels[0].plan is kernels[1].plan is _coin_plan(g)
+        assert built == [g]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
