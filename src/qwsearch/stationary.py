@@ -271,14 +271,21 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
         raise ValueError("state lives on a different graph")
     marked_set = {int(v) for v in marked}
     amps = state.amplitudes
-    advanced = step(state, marked_set)
-    residual = float(np.max(np.abs(advanced.amplitudes - amps))) if amps.size else 0.0
+    # The two state-sized measures are reduced in place in the one-step
+    # image, which this function owns, so they add no state-sized temporary.
+    # np.take's default mode would buffer a copy; step's coin plan build
+    # has checked the reverse map's range.
+    work = step(state, marked_set).amplitudes
+    residual = mismatch = 0.0
+    if amps.size:
+        residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
+        np.subtract(amps, np.take(amps, g.reverse, out=work, mode="wrap"), out=work)
+        mismatch = float(np.abs(work, out=work).max())
     unmarked = amps[~np.isin(g.arc_source, sorted(marked_set))]
     spread = float(unmarked.max() - unmarked.min()) if unmarked.size else 0.0
     vertex_sum = 0.0
     for v in marked_set:
         vertex_sum = max(vertex_sum, abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())))
-    mismatch = float(np.max(np.abs(amps - amps[g.reverse]))) if amps.size else 0.0
     return StationarityCheck(
         residual=residual,
         unmarked_amplitude_spread=spread,
