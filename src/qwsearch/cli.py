@@ -8,11 +8,9 @@ Subcommands::
     qwsearch verify <graph.txt> <marked> <snapshot.txt>   # prints residuals
 
 ``<marked>`` is a comma-separated vertex list, e.g. "3,4".  QWALK_THREADS
-caps the threads of the whole command (default: up to 4 cores): ``run``
-gives them all to its walk's step, ``sweep`` runs w = min(cap, configs)
-configs at once and gives each run's step max(1, cap // w).  Exit
-statuses: 0 ok, 1 input error, 2 infeasible stationary request,
-3 dominance/stationarity check failed or the walk's norm drifted.
+caps sweep workers.  Exit statuses: 0 ok, 1 input error, 2 infeasible
+stationary request, 3 dominance/stationarity check failed or the walk's
+norm drifted.
 """
 
 from __future__ import annotations
@@ -75,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     outcome = experiments.execute(
-        args.config, args.out_dir, t_max=args.t_max, seed=args.seed, assignment=args.assignment,
-        threads=experiments._thread_cap(),
+        args.config, args.out_dir, t_max=args.t_max, seed=args.seed, assignment=args.assignment
     )
     if outcome.report is None:
         print(f"error: {outcome.message}", file=sys.stderr)

@@ -328,14 +328,13 @@ def _component_entry(comp, assignment, exists: bool, bound: float) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, *, threads: int = 1) -> ExperimentOutcome:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
     """Run one configured experiment, writing its CSV and JSON artifacts.
 
-    ``threads`` is the most threads the walk's step may use (see
-    ``walk.evolve``).  Raises ValueError for input problems,
-    InfeasibleComponentError when a stationary assignment is requested for
-    a component that has none, and NormDriftError when the walk leaves the
-    unit sphere; :func:`execute` maps those to exit statuses.
+    Raises ValueError for input problems, InfeasibleComponentError when a
+    stationary assignment is requested for a component that has none, and
+    NormDriftError when the walk leaves the unit sphere; :func:`execute`
+    maps those to exit statuses.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -374,10 +373,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, *, threads: int = 1) -> Exper
         if p > best_p:
             best_p, best_t = p, t
 
-    # A one-thread budget is left to evolve's default, so a wrapper with
-    # evolve's four-argument signature (bench/traced.py) still runs.
-    budget = {"threads": threads} if threads > 1 else {}
-    evolve(initial_state(g), marked, t_max, observer=observe, **budget)
+    evolve(initial_state(g), marked, t_max, observer=observe)
 
     dominance = best_p <= report_bounds.total_bound + DOMINANCE_SLACK
     checks_passed = dominance and check.is_stationary
@@ -434,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, *, threads: int = 1) -> Exper
     return ExperimentOutcome(code, report, csv_path, json_path, msg)
 
 
-def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None, threads=1) -> ExperimentOutcome:
+def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None) -> ExperimentOutcome:
     """Load, override, and run one config, mapping errors to exit statuses.
 
     A walk that leaves the unit sphere (NormDriftError) is a failed check,
@@ -443,7 +439,7 @@ def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None, thr
     try:
         cfg = load_config(config_path)
         cfg = apply_overrides(cfg, t_max=t_max, seed=seed, assignment=assignment)
-        return run_experiment(cfg, out_dir, threads=threads)
+        return run_experiment(cfg, out_dir)
     except InfeasibleComponentError as err:
         return ExperimentOutcome(EXIT_INFEASIBLE, None, None, None, str(err))
     except (ValueError, OSError) as err:
@@ -476,32 +472,28 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
 # ---------------------------------------------------------------------------
 
 
-def _thread_cap() -> int:
-    """The most threads one command may use: QWALK_THREADS, or up to 4 cores."""
+def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("QWALK_THREADS")
-    if env is None:
-        return min(4, os.cpu_count() or 1)
-    cap = _parse_int(env, "QWALK_THREADS")
-    if cap < 1:
-        raise ValueError(f"QWALK_THREADS must be positive, got {env!r}")
-    return cap
+    if env is not None:
+        cap = _parse_int(env, "QWALK_THREADS")
+        if cap < 1:
+            raise ValueError(f"QWALK_THREADS must be positive, got {env!r}")
+    else:
+        cap = min(4, os.cpu_count() or 1)
+    return max(1, min(cap, n_jobs))
 
 
 def sweep(config_paths: Sequence, out_dir, *, t_max=None, seed=None) -> tuple[list[dict], int]:
     """Run several configs (possibly concurrently) and summarize them.
 
     Returns one summary row per config, in input order, plus the overall
-    exit status (0 only if every run passed).  The thread cap (see
-    :func:`_thread_cap`) covers the whole sweep: w = min(cap, configs)
-    workers, each run's step getting max(1, cap // w) threads.
+    exit status (0 only if every run passed).  QWALK_THREADS caps the
+    worker count.
     """
     paths = [Path(p) for p in config_paths]
     if not paths:
         return [], EXIT_OK
     out_dir = Path(out_dir)
-    cap = _thread_cap()
-    workers = min(cap, len(paths))
-    threads = max(1, cap // workers)
     # Each config writes to out_dir/<stem>/, so only the first config with a
     # given stem runs; a later one would overwrite its artifacts.
     first_with_stem: dict[str, int] = {}
@@ -516,9 +508,9 @@ def sweep(config_paths: Sequence, out_dir, *, t_max=None, seed=None) -> tuple[li
                 EXIT_INPUT_ERROR, None, None, None,
                 f"output directory {out_dir / path.stem} is already used by {paths[first]}",
             )
-        return execute(path, out_dir / path.stem, t_max=t_max, seed=seed, threads=threads)
+        return execute(path, out_dir / path.stem, t_max=t_max, seed=seed)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count(len(paths))) as pool:
         outcomes = list(pool.map(one, range(len(paths))))
 
     rows = []

@@ -25,21 +25,17 @@ plan (np.add.reduceat over each vertex's arcs).  Every plan computes each
 amplitude by the same operations, so all give results bit for bit equal
 to each other and to the step as written above.
 
-On sliced plans of at least _PARTITION_MIN_ARCS arcs, whose state no
-longer fits in L2, ``evolve`` splits those row slices by vertex: one
-contiguous part per thread of its ``threads`` budget, each walked in
-cache-sized blocks that compute their own coin sums plus a halo of up to
-max|k| vertices (the largest vertex offset a slice reads) and subtract
-while the block is in cache.  The parts beyond the first run on a thread
-pool that ``evolve`` owns and shuts down before it returns or raises.
-The amplitudes are the same bits as the whole-row step's.
+On sliced plans of at least _BLOCKED_MIN_ARCS arcs, whose state no
+longer fits in L2, the step runs those row slices in cache-sized blocks
+of vertices: each block computes its own coin sums plus a halo of up to
+max|k| vertices (the largest vertex offset a slice reads) and subtracts
+while the block is in cache.  The amplitudes are the same bits as the
+whole-row step's.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -150,33 +146,29 @@ _PORT_MAJOR_MAX_DEGREE = 8
 # all fix-ups (twice the gather step's time) and never qualify.
 _SLICE_MAX_FIX_FRACTION = 0.25
 
-# Fewest arcs for which evolve runs a sliced plan's step in parts and
-# blocks (see _Kernel).  Per step against the whole-row step on 4-regular
-# tori (2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4, OpenBLAS pinned
-# to one thread, 21 interleaved rounds, twice): at 2^18 arcs, whose 2 MB
-# state fits in L2, two threads took 1.00-1.33 of its wall time for
-# 1.5-1.6 times its CPU time, and one thread 0.98-1.03; just under 2^19,
-# two threads took 0.86-0.94 of its wall time for 1.3-1.4 times its CPU,
-# and one 0.91-0.98; at 2^20, two threads took 0.53-0.58 of its wall time
-# for 0.88 of its CPU, and one 0.74-0.78.  The wall-time crossover lies
-# between 2^18 and 2^19, so the floor is 2^19.
-_PARTITION_MIN_ARCS = 1 << 19
+# Fewest arcs for which a sliced plan's step runs in blocks (see
+# _Kernel).  Per step, norm included, against the whole-row step on
+# 4-regular tori (one thread on a 2-vCPU Xeon with 2 MB of L2 per core,
+# numpy 2.4, OpenBLAS pinned to one thread; medians and quartiles of 9
+# interleaved rounds): 1.10 [1.06, 1.26] of its time at 2^17 arcs, 0.97
+# [0.92, 1.02] at 2^18, whose 2 MB state fits in L2, 0.72 [0.66, 0.75] at
+# 2^19 and 0.66 [0.64, 0.68] at 2^20.  The crossover lies between 2^18
+# and 2^19, so the floor is 2^19.
+_BLOCKED_MIN_ARCS = 1 << 19
 
-# Vertices per block of the partitioned step.  A block of a 4-regular
-# torus reads 1 MB of the state and writes 1 MB; each block costs about 26
-# numpy calls, and each call releases and retakes the interpreter lock.
-# On the same host at 2^20 arcs with two threads, blocks of 2^13
-# vertices took 1.5-2.5 times the wall time of 2^15, 2^14 took 1.2-1.6
-# times, and 2^15 to 2^16 were within the noise of each other.
+# Vertices per block of the blocked step.  A block of a 4-regular torus
+# reads 1 MB of the state and writes 1 MB.  On the same host at 2^20 arcs,
+# blocks of 2^13, 2^14, 2^15 and 2^16 vertices gave median steps of 4.0,
+# 3.6, 3.4 and 3.9 ms (7 interleaved rounds).
 _BLOCK_VERTICES = 1 << 15
 
-# Most elements per np.dot in the partitioned step.  OpenBLAS runs a dot
-# of more than 10,000 elements on its own threads, unless told to use one,
-# and those threads then spin and take the cores the parts run on: with
-# OpenBLAS left at its default, a 512x512 step in two parts took 4.2 ms
-# (8.3 ms of CPU) with one dot per slice subtract and 2.5 ms (4.0 ms of
-# CPU) with dots of 8192 elements.  With OpenBLAS pinned to one thread the
-# smaller dots cost 2.7 against 2.4 ms (medians of interleaved rounds).
+# Most elements per np.dot in the blocked step.  OpenBLAS runs a dot of
+# more than 10,000 elements on threads of its own, unless told to use
+# one, and they spin on the other core between calls: left at its
+# default, a 512x512 blocked step with one dot per slice subtract took
+# 4.3 ms and 0.57 s of CPU per 60-step run, against 4.1 ms and 0.40 s with
+# dots of 8192 elements.  With OpenBLAS pinned to one thread the two were
+# within the noise (3.8 against 3.9 ms; medians of 7 interleaved rounds).
 _DOT_CHUNK = 8192
 
 
@@ -283,28 +275,24 @@ def _slice_fields(shift: np.ndarray) -> dict:
     return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
 
 
-def _part_blocks(slices, n: int, parts: int) -> list[list[tuple]]:
-    """Split vertices 0..n-1 into ``parts`` contiguous parts of blocks of at
-    most _BLOCK_VERTICES vertices.  Each block is ``(s, e, a, b, moves)``:
-    it owns vertices ``a:b``, its slice subtracts read the coin sums of
+def _blocks(slices, n: int) -> list[tuple]:
+    """Split vertices 0..n-1 into contiguous blocks of at most
+    _BLOCK_VERTICES vertices.  Each block is ``(s, e, a, b, moves)``: it
+    owns vertices ``a:b``, its slice subtracts read the coin sums of
     ``s:e`` (the block and its halo of up to max|k| vertices), and
     ``moves`` holds ``(q, p, k, j0, j1)`` for each row q whose slice meets
     it, clipped to positions ``j0:j1``."""
-    edges = [n * i // parts for i in range(parts + 1)]
-    layout = []
-    for first, end in zip(edges, edges[1:]):
-        blocks = []
-        for a in range(first, end, _BLOCK_VERTICES):
-            b = min(a + _BLOCK_VERTICES, end)
-            s, e, moves = a, b, []
-            for q, (p, k, lo, hi) in enumerate(slices):
-                j0, j1 = max(a, lo), min(b, hi)
-                if j0 < j1:
-                    moves.append((q, p, k, j0, j1))
-                    s, e = min(s, j0 + k), max(e, j1 + k)
-            blocks.append((s, e, a, b, moves))
-        layout.append(blocks)
-    return layout
+    blocks = []
+    for a in range(0, n, _BLOCK_VERTICES):
+        b = min(a + _BLOCK_VERTICES, n)
+        s, e, moves = a, b, []
+        for q, (p, k, lo, hi) in enumerate(slices):
+            j0, j1 = max(a, lo), min(b, hi)
+            if j0 < j1:
+                moves.append((q, p, k, j0, j1))
+                s, e = min(s, j0 + k), max(e, j1 + k)
+        blocks.append((s, e, a, b, moves))
+    return blocks
 
 
 def _coin_plan(g: Graph) -> _CoinPlan:
@@ -325,23 +313,27 @@ class _Kernel:
     buffers swap roles.  Other plans write the coin's image to ``spare``
     and gather it back into ``x`` through ``shift``.
 
-    A kernel made with ``threads`` >= 1 on a sliced plan of at least
-    _PARTITION_MIN_ARCS arcs runs those subtracts in parts: the vertex
-    range is split into one contiguous part per thread (at most one per
-    block), and each part walks its range in blocks of _BLOCK_VERTICES
-    vertices.  For each block it computes the scaled coin sums of the block
-    and of a halo of up to max|k| vertices on either side, which the
-    block's slice subtracts also read, into the part's own scratch; copies
-    the block's own sums into ``sums`` for the fix-ups; and runs every
-    row's slice subtract over the block while its rows are still in cache.
-    The first part runs on the calling thread and the rest on ``pool``, an
-    executor the caller owns.  After they join, the fix-ups and the buffer
-    swap run as in the whole-row step, and every amplitude is still
-    ``sums[w]*(2/d) - x[p, w]``, so both steps give the same bits.  The
-    parts also return the sum of squares of what they wrote; with the
-    fix-ups' share it gives the norm (its last bits differ from a dot of
-    the whole state, and it feeds only the drift guard).  Other kernels,
-    such as those of ``step`` and ``apply_coin``, keep the whole-row step.
+    On a sliced plan of at least _BLOCKED_MIN_ARCS arcs the step runs
+    those subtracts in blocks of _BLOCK_VERTICES vertices.  For each block
+    it computes the scaled coin sums of the block and of a halo of up to
+    max|k| vertices on either side, which the block's slice subtracts also
+    read, into one scratch buffer; gathers from it the sums that the
+    block's vertices give the fix-ups; and runs every row's slice
+    subtract over the block while its rows are still in cache.  The
+    fix-ups and the buffer swap then run as in the whole-row step, and
+    every amplitude is still ``sums[w]*(2/d) - x[p, w]``, so both steps
+    give the same bits.  Each block also returns the sum of squares of what
+    it wrote; with the fix-ups' share they give the norm (its last bits
+    differ from a dot of the whole state, and it feeds only the drift
+    guard).  ``coin`` alone, which ``apply_coin`` runs, keeps the
+    whole-row sums.
+
+    The blocks run on the calling thread.  Shared between two threads, they
+    ran 200 steps of a 512x512 torus in 0.47-0.69 s against 0.73-0.84 s on
+    one thread on an idle 2-vCPU host.  But each of a block's numpy calls
+    retakes the interpreter lock, so a thread that lost its core to another
+    process stalled the other: with a competing process busy 60% of one
+    core, two threads took 0.99-1.34 s and one thread 0.70-0.86 s.
 
     A kernel belongs to one call, so its buffers live here.  The plan is
     read-only and lives on the graph, which threads share: the first kernel
@@ -350,7 +342,7 @@ class _Kernel:
     attribute store keeps one of them, so no lock is needed.
     """
 
-    def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray, threads: int = 0):
+    def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
         self.plan = plan = _coin_plan(g)
         d = plan.ports
         self.x = _page_placed(amplitudes.size, 0)
@@ -363,19 +355,24 @@ class _Kernel:
             self.x[:] = amplitudes
             self.arcs = arcs
         self.spare = _page_placed(amplitudes.size, 1)
-        self.part_moves = None
+        self.block_moves = None
         if plan.slices is None:
             return
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums = np.empty(plan.fix.size)
         self.fix_vals = np.empty(plan.fix.size)
-        if threads and amplitudes.size >= _PARTITION_MIN_ARCS:
-            layout = _part_blocks(plan.slices, g.n, min(threads, math.ceil(g.n / _BLOCK_VERTICES)))
-            nears = [np.empty(max(e - s for s, e, *_ in blocks)) for blocks in layout]
+        self.fix, self.fix_src, self.fix_v = plan.fix, plan.fix_src, plan.fix_v
+        if amplitudes.size >= _BLOCKED_MIN_ARCS:
+            # The fix-ups in vertex order, so each block gathers the coin
+            # sums its own vertices give them into one run of fix_sums.
+            order = np.argsort(plan.fix_v, kind="stable")
+            self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
+            blocks = _blocks(plan.slices, g.n)
+            near = np.empty(max(e - s for s, e, *_ in blocks))
             # Block views for both directions between the buffers.
-            self.part_moves = (self._part_moves(layout, nears, self.x, self.spare),
-                               self._part_moves(layout, nears, self.spare, self.x))
-            # The fix-ups inside their row's slice: the parts' sums of
+            self.block_moves = (self._block_moves(blocks, near, self.x, self.spare),
+                                self._block_moves(blocks, near, self.spare, self.x))
+            # The fix-ups inside their row's slice: the blocks' sums of
             # squares count the slice values there, which the fix-ups replace.
             row, v = np.divmod(plan.fix, g.n)
             lo, hi = np.array([(lo, hi) for _, _, lo, hi in plan.slices]).T
@@ -385,29 +382,23 @@ class _Kernel:
             # Slice views for both directions between the buffers.
             self.moves = (self._moves(self.x, self.spare), self._moves(self.spare, self.x))
 
-    @property
-    def parts(self) -> int:
-        """How many parts the step runs in; 0 for the whole-row step."""
-        return len(self.part_moves[0]) if self.part_moves else 0
-
-    def _part_moves(self, layout: list, nears: list, src: np.ndarray, dst: np.ndarray) -> list:
-        """For each part, the views its blocks work on in a step from ``src``
-        to ``dst``: the source rows over the block and its halo, the part's
-        scratch for their sums, the block's share of ``sums`` and of the
-        scratch, and per slice subtract its two operands, its output and
-        that output cut into views of at most _DOT_CHUNK elements."""
+    def _block_moves(self, blocks: list, near: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list:
+        """The views each block works on in a step from ``src`` to ``dst``:
+        the source rows over the block and its halo, the scratch ``near``
+        for their sums, where in the scratch the sums of its fix-ups'
+        vertices lie and the run of ``fix_sums`` they go to, and per slice
+        subtract its two operands, its output and that output cut into
+        views of at most _DOT_CHUNK elements."""
         d = self.plan.ports
         rows, out = src.reshape(d, -1), dst.reshape(d, -1)
+        bounds = np.searchsorted(self.fix_v, [(a, b) for _, _, a, b, _ in blocks])
         return [
-            [
-                (rows[:, s:e], near[: e - s], self.sums[a:b], near[a - s : b - s], [
-                    (near[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1],
-                     [out[q, i : min(i + _DOT_CHUNK, j1)] for i in range(j0, j1, _DOT_CHUNK)])
-                    for q, p, k, j0, j1 in moves
-                ])
-                for s, e, a, b, moves in blocks
-            ]
-            for blocks, near in zip(layout, nears)
+            (rows[:, s:e], near[: e - s], self.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
+                (near[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1],
+                 [out[q, i : min(i + _DOT_CHUNK, j1)] for i in range(j0, j1, _DOT_CHUNK)])
+                for q, p, k, j0, j1 in moves
+            ])
+            for (s, e, _, _, moves), (lo, hi) in zip(blocks, bounds)
         ]
 
     def _moves(self, src: np.ndarray, dst: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -457,40 +448,29 @@ class _Kernel:
             self.coin()
             np.take(self.spare, plan.shift, out=x, mode="wrap")
             return
-        if self.part_moves is None:
+        if self.block_moves is None:
             self._scaled_sums()
             for sums_part, rows_part, out in self.moves[0]:
                 np.subtract(sums_part, rows_part, out=out)
             self.moves = self.moves[::-1]
-        else:
-            squares = self._run_parts()
+            np.take(self.sums, self.fix_v, out=self.fix_sums, mode="wrap")
+        else:  # the blocks also gather fix_sums
+            squares = sum(_run_block(views, plan.scale) for views in self.block_moves[0])
+            self.block_moves = self.block_moves[::-1]
             inside = np.take(self.spare, self.fix_inside, out=self.inside_vals, mode="wrap")
             squares -= _sum_of_squares(inside)
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
-        np.take(self.sums, plan.fix_v, out=self.fix_sums, mode="wrap")
-        np.take(x, plan.fix_src, out=self.fix_vals, mode="wrap")
+        np.take(x, self.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
-        self.spare[plan.fix] = self.fix_vals
-        if self.part_moves is not None:
+        self.spare[self.fix] = self.fix_vals
+        if self.block_moves is not None:
             # max() keeps a NaN; only roundoff on a vanished state is negative.
             self.squares = max(squares + _sum_of_squares(self.fix_vals), 0.0)
         self.x, self.spare = self.spare, x
 
-    def _run_parts(self) -> float:
-        """Run every part, the first on this thread and the rest on the pool,
-        and return the sum of squares of the slice values they wrote."""
-        (first, *rest), scale = self.part_moves[0], self.plan.scale
-        futures = [self.pool.submit(_run_part, blocks, scale) for blocks in rest]
-        try:
-            squares = _run_part(first, scale)
-        finally:
-            wait(futures)  # no part may still write once the step is left, even by an error
-        self.part_moves = self.part_moves[::-1]
-        return squares + sum(f.result() for f in futures)
-
     def norm(self) -> float:
-        if self.part_moves is not None:
+        if self.block_moves is not None:
             return math.sqrt(self.squares)
         return math.sqrt(float(np.dot(self.x, self.x)))
 
@@ -498,20 +478,20 @@ class _Kernel:
         return _mass(self.x, self.arcs)
 
 
-def _run_part(blocks: list, scale: float) -> float:
-    """One part of a partitioned step (see _Kernel._part_moves): per block,
-    the scaled coin sums over the block and its halo, the block's own sums
-    copied out for the fix-ups, then every row's slice subtract while the
-    block is in cache.  Returns the sum of squares of the values written."""
+def _run_block(views: tuple, scale: float) -> float:
+    """One block of a blocked step: the scaled coin sums over the block and
+    its halo, the sums its fix-ups read gathered out, then every row's
+    slice subtract while the block is in cache.  Returns the sum of squares
+    of the values written."""
+    rows, near, fix_at, fix_sums, moves = views
+    _port_sums(rows, near)
+    np.multiply(near, scale, out=near)
+    np.take(near, fix_at, out=fix_sums, mode="wrap")
     squares = 0.0
-    for rows, near, sums, own, moves in blocks:
-        _port_sums(rows, near)
-        np.multiply(near, scale, out=near)
-        np.copyto(sums, own)
-        for near_part, rows_part, out, chunks in moves:
-            np.subtract(near_part, rows_part, out=out)
-            for chunk in chunks:
-                squares += float(np.dot(chunk, chunk))
+    for near_part, rows_part, out, chunks in moves:
+        np.subtract(near_part, rows_part, out=out)
+        for chunk in chunks:
+            squares += float(np.dot(chunk, chunk))
     return squares
 
 
@@ -564,8 +544,6 @@ def evolve(
     marked: Iterable[int],
     t_max: int,
     observer: Callable[[int, float], None] | None = None,
-    *,
-    threads: int = 1,
 ) -> WalkState:
     """Apply ``t_max`` steps, reporting (t, marked probability) after each.
 
@@ -573,30 +551,22 @@ def evolve(
     begins.  If the norm drifts beyond NORM_DRIFT_LIMIT the evolution halts
     with NormDriftError instead of renormalizing silently: drift on that
     scale means an operator or input is wrong.
-
-    ``threads`` is the most threads the step may use, this one included.
-    It matters only on graphs the step runs in parts (see _Kernel), and
-    the results are the same bits for every value.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
     g = state.graph
-    kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked), threads)
+    kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked))
     if observer is not None:
         observer(0, kernel.mass())
     if g.arc_count == 0:
         return WalkState(kernel.arc_order(kernel.x), g)
-    # The pool's threads end with this call, whichever way it ends.
-    with ThreadPoolExecutor(kernel.parts - 1) if kernel.parts > 1 else nullcontext() as kernel.pool:
-        for t in range(1, t_max + 1):
-            kernel.step()
-            norm = kernel.norm()
-            if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:  # NaN fails too
-                raise NormDriftError(f"norm drifted to {norm!r} at step {t}; aborting evolution")
-            if observer is not None:
-                observer(t, kernel.mass())
+    for t in range(1, t_max + 1):
+        kernel.step()
+        norm = kernel.norm()
+        if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:  # NaN fails too
+            raise NormDriftError(f"norm drifted to {norm!r} at step {t}; aborting evolution")
+        if observer is not None:
+            observer(t, kernel.mass())
     return WalkState(kernel.arc_order(kernel.x), g)
 
 

@@ -1,6 +1,5 @@
 import json
 import re
-import threading
 
 import jsonschema
 import numpy as np
@@ -19,7 +18,6 @@ from qwsearch import (
 )
 from qwsearch import experiments, walk
 from qwsearch.cli import main
-from qwsearch.walk import NormDriftError
 from qwsearch.experiments import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -449,80 +447,22 @@ class TestNormDrift:
 
     def test_sweep_finishes_the_other_configs(self, tmp_path, monkeypatch):
         poison_third_step(monkeypatch, 10)
+        monkeypatch.setenv("QWALK_THREADS", "2")  # each config on a worker thread
         rows, code = sweep([fig_cycle_config(tmp_path), cycle_pair_config(tmp_path, 6)], tmp_path / "out")
         assert code == EXIT_CHECK_FAILED
         assert rows[0]["status"] == f"error(3): {DRIFT_MESSAGE}"
         assert rows[1]["status"] == "ok"
 
-    def test_error_in_a_step_thread_takes_the_same_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(walk, "_PARTITION_MIN_ARCS", 1)
+    def test_blocked_step_takes_the_same_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", 1)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", 8)
-        real = walk._run_part
-
-        def part(blocks, scale):
-            if threading.current_thread() is not threading.main_thread():
-                raise NormDriftError("drift seen in a step thread")
-            return real(blocks, scale)
-
-        monkeypatch.setattr(walk, "_run_part", part)
-        monkeypatch.setenv("QWALK_THREADS", "2")
+        real, blocks_run = walk._run_block, []
+        monkeypatch.setattr(walk, "_run_block", lambda views, scale: blocks_run.append(1) or real(views, scale))
+        poison_third_step(monkeypatch, 80)
         cfg = cycle_pair_config(tmp_path, 40)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
-        assert capsys.readouterr().err == "error: drift seen in a step thread\n"
-
-
-@pytest.fixture
-def step_threads(monkeypatch):
-    """The thread budget each run hands evolve, and the pools evolve makes."""
-    seen = {"threads": [], "pools": []}
-    real_evolve, real_pool = experiments.evolve, walk.ThreadPoolExecutor
-
-    def spy(*args, threads=1, **kwargs):
-        seen["threads"].append(threads)
-        return real_evolve(*args, threads=threads, **kwargs)
-
-    def pool(workers):
-        seen["pools"].append(workers)
-        return real_pool(workers)
-
-    monkeypatch.setattr(experiments, "evolve", spy)
-    monkeypatch.setattr(walk, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(walk, "_PARTITION_MIN_ARCS", 1)
-    monkeypatch.setattr(walk, "_BLOCK_VERTICES", 8)
-    return seen
-
-
-class TestThreadBudget:
-    @pytest.mark.parametrize("cap, pools", [("1", []), ("3", [2])])
-    def test_run_gives_its_walk_the_whole_cap(self, tmp_path, monkeypatch, step_threads, cap, pools):
-        monkeypatch.setenv("QWALK_THREADS", cap)
-        cfg = cycle_pair_config(tmp_path, 40)
-        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
-        assert step_threads == {"threads": [int(cap)], "pools": pools}
-
-    @pytest.mark.parametrize("cap, configs, threads", [("2", 3, 1), ("4", 2, 2), ("5", 2, 2)])
-    def test_sweep_splits_the_cap_between_its_workers(self, tmp_path, monkeypatch, step_threads,
-                                                      cap, configs, threads):
-        monkeypatch.setenv("QWALK_THREADS", cap)
-        paths = [cycle_pair_config(tmp_path, 40 + i) for i in range(configs)]
-        rows, code = sweep(paths, tmp_path / "out")
-        assert code == EXIT_OK
-        assert step_threads["threads"] == [threads] * configs
-
-    def test_library_callers_get_one_thread(self, tmp_path, step_threads):
-        assert execute(cycle_pair_config(tmp_path, 40), tmp_path / "out").exit_code == EXIT_OK
-        assert step_threads == {"threads": [1], "pools": []}
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("value, message", [
-        ("two", "QWALK_THREADS: bad integer 'two'"),
-        ("0", "QWALK_THREADS must be positive, got '0'"),
-    ])
-    def test_bad_cap_is_exit_1_for_both_commands(self, tmp_path, capsys, monkeypatch, command, value, message):
-        monkeypatch.setenv("QWALK_THREADS", value)
-        cfg = fig_cycle_config(tmp_path)
-        assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {DRIFT_MESSAGE}\n"
+        assert blocks_run
 
 
 class TestCli:

@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -341,11 +340,11 @@ def test_row_slices_match_reference_however_many_fix_ups(name, monkeypatch):
     assert step(WalkState(amps, g), marked).amplitudes.tobytes() == ref_amps.tobytes()
 
 
-# Partitioned-step cases: (graph, block vertices, marked vertices).
-PARTITION_CASES = {
+# Blocked-step cases: (graph, block vertices, marked vertices).
+BLOCK_CASES = {
     # rows != cols and an odd vertex count; each marked pair of neighbours
-    # straddles a part boundary: 31 with two parts, 21 and 42 with three.
-    "torus7x9": (lambda: torus2d_graph(7, 9), 8, [20, 21, 30, 31, 41, 42]),
+    # straddles a block boundary.
+    "torus7x9": (lambda: torus2d_graph(7, 9), 8, [15, 16, 31, 32, 47, 48]),
     # Blocks of 5 vertices with a halo of 13 (max|k| = cols): every block
     # reads sums past its neighbouring blocks on both sides.
     "torus6x13_halo_over_blocks": (lambda: torus2d_graph(6, 13), 5, [0, 38, 39]),
@@ -354,21 +353,21 @@ PARTITION_CASES = {
 
 
 @pytest.fixture
-def partitioned(monkeypatch):
+def blocked(monkeypatch):
     """Slice every port-major plan and, once the whole-row step has run,
-    lower the partition floor, block and dot sizes so small graphs take the
-    partitioned step."""
+    lower the floor, block and dot sizes so small graphs take the blocked
+    step."""
     monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
 
     def use(name):
-        build, block, marked = PARTITION_CASES[name]
+        build, block, marked = BLOCK_CASES[name]
         g = build()
         assert _coin_plan(g).slices is not None
         rng = np.random.default_rng(len(name))
         amps = random_unit_state_vector(rng, g.arc_count)
         whole_seen = []
         whole = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: whole_seen.append(p))
-        monkeypatch.setattr(walk, "_PARTITION_MIN_ARCS", 1)
+        monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", 1)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", block)
         monkeypatch.setattr(walk, "_DOT_CHUNK", 3)  # several dots per slice subtract
         return g, amps, marked, whole_seen, whole.amplitudes
@@ -376,86 +375,69 @@ def partitioned(monkeypatch):
     return use
 
 
-class TestPartitionedStep:
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("name", sorted(PARTITION_CASES))
-    def test_matches_the_whole_row_step_bit_for_bit(self, partitioned, name, threads):
-        g, amps, marked, whole_seen, whole = partitioned(name)
-        kernel = _Kernel(g, amps, np.empty(0, dtype=np.int64), threads)
-        assert kernel.parts == threads
+class TestBlockedStep:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_matches_the_whole_row_step_bit_for_bit(self, blocked, name):
+        g, amps, marked, whole_seen, whole = blocked(name)
+        assert _Kernel(g, amps, np.empty(0, dtype=np.int64)).block_moves is not None
         seen = []
-        out = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: seen.append(p), threads=threads)
+        out = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: seen.append(p))
         assert np.array(seen).tobytes() == np.array(whole_seen).tobytes()
         assert out.amplitudes.tobytes() == whole.tobytes()
         ref_seen, ref_amps = reference_evolve(g, amps, marked, 60)
         assert out.amplitudes.tobytes() == ref_amps.tobytes()
 
-    def test_blocks_cover_each_part_and_read_within_their_halo(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_norm_matches_a_dot_of_the_state(self, blocked, name):
+        g, amps, marked, *_ = blocked(name)
+        kernel = _Kernel(g, amps, walk._marked_arc_indices(g, marked))
+        for _ in range(20):
+            kernel.step()
+            assert kernel.norm() == pytest.approx(math.sqrt(np.dot(kernel.x, kernel.x)), abs=1e-14)
+
+    def test_blocks_cover_the_vertices_and_read_within_their_halo(self, monkeypatch):
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", 5)
         g = torus2d_graph(6, 13)
         slices = _coin_plan(g).slices
         halo = max(abs(k) for _, k, _, _ in slices)
-        layout = walk._part_blocks(slices, g.n, 3)
-        owned = [(a, b) for blocks in layout for _, _, a, b, _ in blocks]
+        blocks = walk._blocks(slices, g.n)
+        owned = [(a, b) for _, _, a, b, _ in blocks]
         assert owned[0][0] == 0 and owned[-1][1] == g.n
         assert all(b0 == a1 for (_, b0), (a1, _) in zip(owned, owned[1:]))
-        assert [blocks[0][2] for blocks in layout] == [0, 26, 52]
-        for blocks in layout:
-            for s, e, a, b, moves in blocks:
-                assert 0 < b - a <= walk._BLOCK_VERTICES
-                assert max(0, a - halo) <= s <= a and b <= e <= min(g.n, b + halo)
-                for q, p, k, j0, j1 in moves:
-                    assert a <= j0 < j1 <= b and s <= j0 + k and j1 + k <= e
+        for s, e, a, b, moves in blocks:
+            assert 0 < b - a <= walk._BLOCK_VERTICES
+            assert max(0, a - halo) <= s <= a and b <= e <= min(g.n, b + halo)
+            for q, p, k, j0, j1 in moves:
+                assert a <= j0 < j1 <= b and s <= j0 + k and j1 + k <= e
 
     def test_whole_row_step_below_the_floor_and_on_gather_plans(self):
         g = torus2d_graph(16, 16)
-        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64), 2).parts == 0
+        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64)).block_moves is None
         g = random_regular_graph(20, 3, seed=1)  # a gather plan
-        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64), 2).parts == 0
+        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64)).block_moves is None
 
-    def test_at_most_one_part_per_block(self, partitioned):
-        g, amps, *_ = partitioned("torus7x9")  # 63 vertices, blocks of 8
-        assert _Kernel(g, amps, np.empty(0, dtype=np.int64), 50).parts == 8
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_step_and_apply_coin_match_the_reference(self, blocked, name):
+        g, amps, marked, *_ = blocked(name)
+        state = WalkState(amps, g)
+        assert step(state, marked).amplitudes.tobytes() == reference_evolve(g, amps, marked, 1)[1].tobytes()
+        assert apply_coin(state).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_nan_in_one_part_stops_at_its_step(self, partitioned, monkeypatch, threads):
-        g, amps, marked, *_ = partitioned("torus7x9")
-        real, calls = walk._run_part, []
+    def test_nan_in_one_block_stops_at_its_step(self, blocked, monkeypatch):
+        g, amps, marked, *_ = blocked("torus7x9")  # 8 blocks
+        real, calls = walk._run_block, []
 
-        def poisoned(blocks, scale):
-            calls.append(blocks)
-            # The last part of step 3 gets a NaN scale.
-            return real(blocks, np.nan if len(calls) == 3 * threads else scale)
+        def poisoned(views, scale):
+            calls.append(views)
+            # The last block of step 3 gets a NaN scale.
+            return real(views, np.nan if len(calls) == 3 * 8 else scale)
 
-        monkeypatch.setattr(walk, "_run_part", poisoned)
-        baseline = threading.active_count()
+        monkeypatch.setattr(walk, "_run_block", poisoned)
         seen = []
         with pytest.raises(NormDriftError, match="nan at step 3"):
-            evolve(WalkState(amps, g), marked, 10, observer=lambda t, p: seen.append(t), threads=threads)
+            evolve(WalkState(amps, g), marked, 10, observer=lambda t, p: seen.append(t))
         assert seen == [0, 1, 2]
-        assert threading.active_count() == baseline
-
-    def test_worker_error_reaches_the_caller_and_no_thread_outlives_evolve(self, partitioned, monkeypatch):
-        g, amps, marked, *_ = partitioned("cycle101")
-        real = walk._run_part
-
-        def failing(blocks, scale):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("part failed")
-            return real(blocks, scale)
-
-        baseline = threading.active_count()
-        evolve(WalkState(amps, g), marked, 5, threads=3)
-        assert threading.active_count() == baseline
-        monkeypatch.setattr(walk, "_run_part", failing)
-        with pytest.raises(RuntimeError, match="part failed"):
-            evolve(WalkState(amps, g), marked, 5, threads=3)
-        assert threading.active_count() == baseline
-
-    def test_thread_count_must_be_positive(self, cycle5):
-        with pytest.raises(ValueError, match="threads must be positive"):
-            evolve(initial_state(cycle5), set(), 1, threads=0)
 
 
 def test_evolve_allocates_no_state_sized_buffer_per_step():
