@@ -7,10 +7,11 @@ Subcommands::
     qwsearch solve <graph.txt> <marked>            # prints the assignment
     qwsearch verify <graph.txt> <marked> <snapshot.txt>   # prints residuals
 
-``<marked>`` is a comma-separated vertex list, e.g. "3,4".  QWALK_THREADS
-caps sweep workers.  Exit statuses: 0 ok, 1 input error, 2 infeasible
-stationary request, 3 dominance/stationarity check failed or the walk's
-norm drifted.
+``<marked>`` is a comma-separated vertex list with no empty entries,
+e.g. "3,4".  QWALK_THREADS caps sweep workers.  Exit statuses: 0 ok, 1
+input error, 2 infeasible stationary request (no stationary state, or a
+zero one), 3 dominance/stationarity check failed or the walk's norm
+drifted.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .walk import read_state_snapshot
 
 
 def _parse_marked(text: str) -> list[int]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
+    if not text.strip():
         raise ValueError(f"empty marked vertex list: {text!r}")
+    items = [part.strip() for part in text.split(",")]
+    if "" in items:
+        raise ValueError(f"marked list {text!r} has an empty vertex")
     return sorted({_parse_int(v, f"marked list {text!r}") for v in items})
 
 

@@ -1,7 +1,7 @@
 """End-to-end experiment driver: build a graph, mark vertices, solve for a
 stationary assignment, evaluate ceilings, simulate, and emit CSV + JSON.
 
-Config document (strict JSON; unknown keys are rejected)::
+Config document (strict JSON; unknown and repeated keys are rejected)::
 
     {
       "graph":  exactly one of
@@ -26,12 +26,13 @@ names, with no directory part, so both land in the output directory.
 
 Relative input paths are resolved against the config file's directory.
 The block pattern addresses torus2d graphs row-major, so it is only valid
-with the torus2d family.  The pairs pattern marks k pairwise
-non-adjacent adjacent-vertex pairs, chosen deterministically from the seed.
+with the torus2d family, and may not be taller or wider than the torus.
+The pairs pattern marks k pairwise non-adjacent adjacent-vertex pairs,
+chosen deterministically from the seed.
 
 Exit statuses: 0 = dominance and stationarity checks passed, 1 = input
-error, 2 = infeasible stationary request, 3 = a check failed, the walk's
-norm guard (NormDriftError) included.
+error, 2 = infeasible stationary request (no stationary state, or a zero
+one), 3 = a check failed, the walk's norm guard (NormDriftError) included.
 
 A single marked vertex of positive degree exits 2 by design: it is a
 bipartite component with one empty side, so it has no stationary state
@@ -200,14 +201,27 @@ def _parse_marked_spec(obj) -> MarkedSpec:
     return MarkedSpec("pairs", pairs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error, where
+    json.loads would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ValueError(f"cannot read config {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err}") from None
+    except ValueError as err:  # from _unique_keys
+        raise ValueError(f"{path}: {err}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     _reject_unknown(obj, {"graph", "marked", "t_max", "assignment", "csv", "report"}, str(path))
@@ -295,6 +309,11 @@ def build_marked_from_spec(cfg: ExperimentConfig, g: Graph) -> list[int]:
             raise ValueError("marked.block requires the torus2d graph family")
         rows, cols = cfg.graph.params["rows"], cfg.graph.params["cols"]
         blk = spec.payload
+        if blk["rows"] > rows or blk["cols"] > cols:
+            # It would wrap around the torus onto itself.
+            raise ValueError(
+                f"marked.block of {blk['rows']}x{blk['cols']} does not fit the {rows}x{cols} torus"
+            )
         verts = {
             ((blk["row_offset"] + i) % rows) * cols + ((blk["col_offset"] + j) % cols)
             for i in range(blk["rows"])

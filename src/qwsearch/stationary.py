@@ -56,7 +56,16 @@ RESIDUAL_LIMIT = 1e-10
 
 
 class InfeasibleComponentError(ValueError):
-    """No coefficient assignment satisfies the component's vertex-sum constraints."""
+    """No coefficient assignment satisfies the component's vertex-sum
+    constraints, or every one gives the zero state."""
+
+
+def _zero_state() -> InfeasibleComponentError:
+    # A zero state under any assignment makes the minimum-norm one zero too.
+    return InfeasibleComponentError(
+        "the minimum-norm stationary state is zero: every edge joins two marked vertices"
+        " and every coefficient is 0"
+    )
 
 
 @dataclass(frozen=True)
@@ -193,13 +202,16 @@ def normalization_scale(g: Graph, assignments: Sequence[StationaryAssignment]) -
 
     One scale is shared by all components: a = 1/sqrt(2m - 2*E + S) with E
     the total internal edge count and S the directed sum of squared
-    coefficients, both summed over the given assignments.
+    coefficients, both summed over the given assignments.  Raises
+    InfeasibleComponentError when that total is 0: the state is zero.
     """
     if g.arc_count == 0:
         raise ValueError("graph has no arcs")
     total = float(g.arc_count)
     for asg in assignments:
         total += asg.sum_sq_directed - 2.0 * len(asg.coefficients)
+    if total == 0.0:
+        raise _zero_state()
     return 1.0 / math.sqrt(total)
 
 
@@ -217,7 +229,9 @@ def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkSt
     """Assemble the unit state with amplitude ``a`` on every arc except the
     internal marked arcs, which carry their coefficient times ``a``.
 
-    With no assignments this is exactly the uniform starting state.
+    With no assignments this is exactly the uniform starting state.  A
+    zero state raises InfeasibleComponentError before it is divided by its
+    norm.
     """
     if any(asg.component.graph is not g for asg in assignments):
         raise ValueError("assignment solves a component of a different graph")
@@ -229,8 +243,10 @@ def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkSt
         for (i, j), c in asg.coefficients.items():
             unscaled[g.arc_between(i, j)] = c
             unscaled[g.arc_between(j, i)] = c
-    amps = unscaled / math.sqrt(float(np.dot(unscaled, unscaled)))
-    return WalkState(amps, g)
+    norm_sq = float(np.dot(unscaled, unscaled))
+    if norm_sq == 0.0:
+        raise _zero_state()
+    return WalkState(unscaled / math.sqrt(norm_sq), g)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ plan (np.add.reduceat over each vertex's arcs).  Every plan computes each
 amplitude by the same operations, so all give results bit for bit equal
 to each other and to the step as written above.
 
-On sliced plans of at least _BLOCKED_MIN_ARCS arcs, whose state no
-longer fits in L2, the step runs those row slices in cache-sized blocks
-of vertices: each block computes its own coin sums plus a halo of up to
-max|k| vertices (the largest vertex offset a slice reads) and subtracts
-while the block is in cache.  The amplitudes are the same bits as the
-whole-row step's.
+The sliced step runs those row slices in blocks of vertices: each block
+computes its own coin sums plus a halo of up to max|k| vertices (the
+largest vertex offset a slice reads) and subtracts while the block is in
+cache.  One block covers every vertex below _BLOCKED_MIN_ARCS arcs, where
+the state fits in L2; larger states take cache-sized blocks.  The
+amplitudes are the same bits however the vertices are blocked.
 """
 
 from __future__ import annotations
@@ -146,25 +146,30 @@ _PORT_MAJOR_MAX_DEGREE = 8
 # all fix-ups (twice the gather step's time) and never qualify.
 _SLICE_MAX_FIX_FRACTION = 0.25
 
-# Fewest arcs for which a sliced plan's step runs in blocks (see
-# _Kernel).  Per step, norm included, against the whole-row step on
-# 4-regular tori (one thread on a 2-vCPU Xeon with 2 MB of L2 per core,
-# numpy 2.4, OpenBLAS pinned to one thread; medians and quartiles of 9
-# interleaved rounds): 1.10 [1.06, 1.26] of its time at 2^17 arcs, 0.97
-# [0.92, 1.02] at 2^18, whose 2 MB state fits in L2, 0.72 [0.66, 0.75] at
-# 2^19 and 0.66 [0.64, 0.68] at 2^20.  The crossover lies between 2^18
-# and 2^19, so the floor is 2^19.
+# Fewest arcs for which a sliced plan's step runs in blocks of
+# _BLOCK_VERTICES vertices that also sum the squares of what they write
+# for the norm (see _Kernel); below it one block covers every vertex and
+# the norm is one dot of the state.  Per step, norm included, cache-sized
+# blocks against one block on 4-regular tori (one thread on a 2-vCPU Xeon
+# with 2 MB of L2 per core, numpy 2.4, OpenBLAS pinned to one thread;
+# medians and quartiles of 9 interleaved rounds): 1.10 [1.06, 1.26] of its
+# time at 2^17 arcs, 0.97 [0.92, 1.02] at 2^18, whose 2 MB state fits in
+# L2, 0.72 [0.66, 0.75] at 2^19 and 0.66 [0.64, 0.68] at 2^20.  The
+# crossover lies between 2^18 and 2^19, so the floor is 2^19.  Summing the
+# squares in the one block's chunks as well took 118 us per 128x128 step
+# against 93 us with one dot (medians of 11 interleaved rounds).
 _BLOCKED_MIN_ARCS = 1 << 19
 
-# Vertices per block of the blocked step.  A block of a 4-regular torus
-# reads 1 MB of the state and writes 1 MB.  On the same host at 2^20 arcs,
-# blocks of 2^13, 2^14, 2^15 and 2^16 vertices gave median steps of 4.0,
-# 3.6, 3.4 and 3.9 ms (7 interleaved rounds).
+# Vertices per block of the sliced step at and above _BLOCKED_MIN_ARCS.
+# A block of a 4-regular torus reads 1 MB of the state and writes 1 MB.
+# On the same host at 2^20 arcs, blocks of 2^13, 2^14, 2^15 and 2^16
+# vertices gave median steps of 4.0, 3.6, 3.4 and 3.9 ms (7 interleaved
+# rounds).
 _BLOCK_VERTICES = 1 << 15
 
-# Most elements per np.dot in the blocked step.  OpenBLAS runs a dot of
-# more than 10,000 elements on threads of its own, unless told to use
-# one, and they spin on the other core between calls: left at its
+# Most elements per np.dot in the blocks' sums of squares.  OpenBLAS runs
+# a dot of more than 10,000 elements on threads of its own, unless told to
+# use one, and they spin on the other core between calls: left at its
 # default, a 512x512 blocked step with one dot per slice subtract took
 # 4.3 ms and 0.57 s of CPU per 60-step run, against 4.1 ms and 0.40 s with
 # dots of 8192 elements.  With OpenBLAS pinned to one thread the two were
@@ -275,16 +280,16 @@ def _slice_fields(shift: np.ndarray) -> dict:
     return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
 
 
-def _blocks(slices, n: int) -> list[tuple]:
-    """Split vertices 0..n-1 into contiguous blocks of at most
-    _BLOCK_VERTICES vertices.  Each block is ``(s, e, a, b, moves)``: it
-    owns vertices ``a:b``, its slice subtracts read the coin sums of
-    ``s:e`` (the block and its halo of up to max|k| vertices), and
-    ``moves`` holds ``(q, p, k, j0, j1)`` for each row q whose slice meets
-    it, clipped to positions ``j0:j1``."""
+def _blocks(slices, n: int, width: int) -> list[tuple]:
+    """Split vertices 0..n-1 into contiguous blocks of at most ``width``
+    vertices.  Each block is ``(s, e, a, b, moves)``: it owns vertices
+    ``a:b``, its slice subtracts read the coin sums of ``s:e`` (the block
+    and its halo of up to max|k| vertices), and ``moves`` holds
+    ``(q, p, k, j0, j1)`` for each row q whose slice meets it, clipped to
+    positions ``j0:j1``."""
     blocks = []
-    for a in range(0, n, _BLOCK_VERTICES):
-        b = min(a + _BLOCK_VERTICES, n)
+    for a in range(0, n, width):
+        b = min(a + width, n)
         s, e, moves = a, b, []
         for q, (p, k, lo, hi) in enumerate(slices):
             j0, j1 = max(a, lo), min(b, hi)
@@ -308,25 +313,25 @@ class _Kernel:
     the step works in.
 
     The query runs in place on ``x``.  Where the plan has row slices, the
-    coin's image goes straight to its shifted position in ``spare``: one
-    subtract per destination row, then the fix-ups, after which the two
-    buffers swap roles.  Other plans write the coin's image to ``spare``
-    and gather it back into ``x`` through ``shift``.
+    coin's image goes straight to its shifted position in ``spare``, block
+    by block.  For each block of vertices the step computes the scaled coin
+    sums of the block and of a halo of up to max|k| vertices on either
+    side, which the block's slice subtracts also read, into ``sums``;
+    gathers from them the sums that the block's vertices give the fix-ups;
+    and runs every row's slice subtract over the block while its rows are
+    still in cache.  The fix-ups follow, after which the two buffers swap
+    roles.  Every amplitude is ``sums[w]*(2/d) - x[p, w]`` however the
+    vertices are blocked, so every layout gives the same bits.  Other plans
+    write the coin's image to ``spare`` and gather it back into ``x``
+    through ``shift``.
 
-    On a sliced plan of at least _BLOCKED_MIN_ARCS arcs the step runs
-    those subtracts in blocks of _BLOCK_VERTICES vertices.  For each block
-    it computes the scaled coin sums of the block and of a halo of up to
-    max|k| vertices on either side, which the block's slice subtracts also
-    read, into one scratch buffer; gathers from it the sums that the
-    block's vertices give the fix-ups; and runs every row's slice
-    subtract over the block while its rows are still in cache.  The
-    fix-ups and the buffer swap then run as in the whole-row step, and
-    every amplitude is still ``sums[w]*(2/d) - x[p, w]``, so both steps
-    give the same bits.  Each block also returns the sum of squares of what
-    it wrote; with the fix-ups' share they give the norm (its last bits
-    differ from a dot of the whole state, and it feeds only the drift
-    guard).  ``coin`` alone, which ``apply_coin`` runs, keeps the
-    whole-row sums.
+    Below _BLOCKED_MIN_ARCS arcs one block covers all n vertices and the
+    norm is one dot of the state.  At and above it the blocks have
+    _BLOCK_VERTICES vertices, and each also returns the sum of squares of
+    what it wrote; with the fix-ups' share they give the norm (its last
+    bits differ from a dot of the whole state, and it feeds only the drift
+    guard).  ``coin`` alone, which ``apply_coin`` runs, sums every vertex
+    at once.
 
     The blocks run on the calling thread.  Shared between two threads, they
     ran 200 steps of a 512x512 torus in 0.47-0.69 s against 0.73-0.84 s on
@@ -355,58 +360,47 @@ class _Kernel:
             self.x[:] = amplitudes
             self.arcs = arcs
         self.spare = _page_placed(amplitudes.size, 1)
-        self.block_moves = None
+        self.fused_norm = plan.slices is not None and amplitudes.size >= _BLOCKED_MIN_ARCS
         if plan.slices is None:
             return
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums = np.empty(plan.fix.size)
         self.fix_vals = np.empty(plan.fix.size)
-        self.fix, self.fix_src, self.fix_v = plan.fix, plan.fix_src, plan.fix_v
-        if amplitudes.size >= _BLOCKED_MIN_ARCS:
-            # The fix-ups in vertex order, so each block gathers the coin
-            # sums its own vertices give them into one run of fix_sums.
-            order = np.argsort(plan.fix_v, kind="stable")
-            self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
-            blocks = _blocks(plan.slices, g.n)
-            near = np.empty(max(e - s for s, e, *_ in blocks))
-            # Block views for both directions between the buffers.
-            self.block_moves = (self._block_moves(blocks, near, self.x, self.spare),
-                                self._block_moves(blocks, near, self.spare, self.x))
+        # The fix-ups in vertex order, so each block gathers the coin sums
+        # its own vertices give them into one run of fix_sums.
+        order = np.argsort(plan.fix_v, kind="stable")
+        self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
+        blocks = _blocks(plan.slices, g.n, _BLOCK_VERTICES if self.fused_norm else g.n)
+        # Block views for both directions between the buffers.
+        self.block_moves = (self._block_moves(blocks, self.x, self.spare),
+                            self._block_moves(blocks, self.spare, self.x))
+        if self.fused_norm:
             # The fix-ups inside their row's slice: the blocks' sums of
             # squares count the slice values there, which the fix-ups replace.
             row, v = np.divmod(plan.fix, g.n)
             lo, hi = np.array([(lo, hi) for _, _, lo, hi in plan.slices]).T
             self.fix_inside = plan.fix[(lo[row] <= v) & (v < hi[row])]
             self.inside_vals = np.empty(self.fix_inside.size)
-        else:
-            # Slice views for both directions between the buffers.
-            self.moves = (self._moves(self.x, self.spare), self._moves(self.spare, self.x))
 
-    def _block_moves(self, blocks: list, near: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list:
+    def _block_moves(self, blocks: list, src: np.ndarray, dst: np.ndarray) -> list:
         """The views each block works on in a step from ``src`` to ``dst``:
-        the source rows over the block and its halo, the scratch ``near``
-        for their sums, where in the scratch the sums of its fix-ups'
+        the source rows over the block and its halo, the part of ``sums``
+        that holds their sums, where in it the sums of the block's fix-ups'
         vertices lie and the run of ``fix_sums`` they go to, and per slice
-        subtract its two operands, its output and that output cut into
-        views of at most _DOT_CHUNK elements."""
-        d = self.plan.ports
+        subtract its two operands, its output and, when the blocks sum the
+        norm's squares, that output cut into views of at most _DOT_CHUNK
+        elements."""
+        d, sums = self.plan.ports, self.sums
         rows, out = src.reshape(d, -1), dst.reshape(d, -1)
         bounds = np.searchsorted(self.fix_v, [(a, b) for _, _, a, b, _ in blocks])
+        chunk = _DOT_CHUNK if self.fused_norm else None
         return [
-            (rows[:, s:e], near[: e - s], self.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
-                (near[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1],
-                 [out[q, i : min(i + _DOT_CHUNK, j1)] for i in range(j0, j1, _DOT_CHUNK)])
+            (rows[:, s:e], sums[: e - s], self.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
+                (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1],
+                 [out[q, i : min(i + chunk, j1)] for i in range(j0, j1, chunk)] if chunk else [])
                 for q, p, k, j0, j1 in moves
             ])
             for (s, e, _, _, moves), (lo, hi) in zip(blocks, bounds)
-        ]
-
-    def _moves(self, src: np.ndarray, dst: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        d, sums = self.plan.ports, self.sums
-        rows, out = src.reshape(d, -1), dst.reshape(d, -1)
-        return [
-            (sums[lo + k : hi + k], rows[p, lo + k : hi + k], out[q, lo:hi])
-            for q, (p, k, lo, hi) in enumerate(self.plan.slices)
         ]
 
     def arc_order(self, x: np.ndarray) -> np.ndarray:
@@ -424,19 +418,15 @@ class _Kernel:
             out[p::d] = row
         return out
 
-    def _scaled_sums(self) -> np.ndarray:
-        """A port-major kernel's coin sums of ``x``, times 2/d."""
-        sums = self.sums
-        _port_sums(self.x.reshape(self.plan.ports, -1), sums)
-        np.multiply(sums, self.plan.scale, out=sums)
-        return sums
-
     def coin(self) -> None:
         """Write the coin's image of ``x`` to ``spare``."""
         plan, x = self.plan, self.x
         if plan.ports:
             rows = x.reshape(plan.ports, -1)
-            np.subtract(self._scaled_sums(), rows, out=self.spare.reshape(rows.shape))
+            sums = self.sums
+            _port_sums(rows, sums)
+            np.multiply(sums, plan.scale, out=sums)
+            np.subtract(sums, rows, out=self.spare.reshape(rows.shape))
         else:
             sums = np.add.reduceat(x, plan.starts)
             np.subtract((sums * plan.scale)[plan.rank], x, out=self.spare)
@@ -448,29 +438,22 @@ class _Kernel:
             self.coin()
             np.take(self.spare, plan.shift, out=x, mode="wrap")
             return
-        if self.block_moves is None:
-            self._scaled_sums()
-            for sums_part, rows_part, out in self.moves[0]:
-                np.subtract(sums_part, rows_part, out=out)
-            self.moves = self.moves[::-1]
-            np.take(self.sums, self.fix_v, out=self.fix_sums, mode="wrap")
-        else:  # the blocks also gather fix_sums
-            squares = sum(_run_block(views, plan.scale) for views in self.block_moves[0])
-            self.block_moves = self.block_moves[::-1]
-            inside = np.take(self.spare, self.fix_inside, out=self.inside_vals, mode="wrap")
-            squares -= _sum_of_squares(inside)
-        # The fix-ups go last: they overwrite the positions inside a row's
-        # slice that read from elsewhere.
+        # The blocks also gather fix_sums.
+        squares = sum(_run_block(views, plan.scale) for views in self.block_moves[0])
+        self.block_moves = self.block_moves[::-1]
         np.take(x, self.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
-        self.spare[self.fix] = self.fix_vals
-        if self.block_moves is not None:
+        if self.fused_norm:
+            squares -= _sum_of_squares(np.take(self.spare, self.fix_inside, out=self.inside_vals, mode="wrap"))
             # max() keeps a NaN; only roundoff on a vanished state is negative.
             self.squares = max(squares + _sum_of_squares(self.fix_vals), 0.0)
+        # The fix-ups go last: they overwrite the positions inside a row's
+        # slice that read from elsewhere.
+        self.spare[self.fix] = self.fix_vals
         self.x, self.spare = self.spare, x
 
     def norm(self) -> float:
-        if self.block_moves is not None:
+        if self.fused_norm:
             return math.sqrt(self.squares)
         return math.sqrt(float(np.dot(self.x, self.x)))
 
@@ -479,17 +462,17 @@ class _Kernel:
 
 
 def _run_block(views: tuple, scale: float) -> float:
-    """One block of a blocked step: the scaled coin sums over the block and
-    its halo, the sums its fix-ups read gathered out, then every row's
+    """One block of the sliced step: the scaled coin sums over the block
+    and its halo, the sums its fix-ups read gathered out, then every row's
     slice subtract while the block is in cache.  Returns the sum of squares
-    of the values written."""
-    rows, near, fix_at, fix_sums, moves = views
-    _port_sums(rows, near)
-    np.multiply(near, scale, out=near)
-    np.take(near, fix_at, out=fix_sums, mode="wrap")
+    of the values written that its chunks cover (0 when it has none)."""
+    rows, sums, fix_at, fix_sums, moves = views
+    _port_sums(rows, sums)
+    np.multiply(sums, scale, out=sums)
+    np.take(sums, fix_at, out=fix_sums, mode="wrap")
     squares = 0.0
-    for near_part, rows_part, out, chunks in moves:
-        np.subtract(near_part, rows_part, out=out)
+    for sums_part, rows_part, out, chunks in moves:
+        np.subtract(sums_part, rows_part, out=out)
         for chunk in chunks:
             squares += float(np.dot(chunk, chunk))
     return squares

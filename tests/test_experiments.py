@@ -191,6 +191,21 @@ class TestConfigParsing:
         assert not out_dir.exists() and not (tmp_path / "escape.csv").exists()
 
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"graph": {"family": "cycle", "n": 5}, "marked": {"vertices": [3, 4]}, "t_max": 5, "t_max": 7}',
+         "t_max"),
+        ('{"graph": {"family": "cycle", "n": 5, "n": 6}, "marked": {"vertices": [3, 4]}}', "n"),
+        ('{"graph": {"family": "torus2d", "rows": 4, "cols": 4},'
+         ' "marked": {"block": {"rows": 2, "cols": 2, "rows": 3}}}', "rows"),
+    ], ids=["top_level", "in_graph", "in_marked_block"])
+    def test_repeated_key_is_exit_1(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        out = execute(path, tmp_path / "o")
+        assert out.exit_code == EXIT_INPUT_ERROR
+        assert out.message == f"{path}: duplicate key {key!r}"
+
+
 class TestRun:
     def test_cycle_pair_passes(self, tmp_path):
         out = execute(fig_cycle_config(tmp_path), tmp_path / "out")
@@ -248,6 +263,16 @@ class TestRun:
         out = execute(cfg, tmp_path / "out")
         assert out.exit_code == EXIT_INPUT_ERROR
         assert "torus2d" in out.message
+
+    @pytest.mark.parametrize("block", [{"rows": 5, "cols": 2}, {"rows": 1, "cols": 5}])
+    def test_block_larger_than_the_torus_is_exit_1(self, tmp_path, block):
+        cfg = write_config(tmp_path / "blk.json", {
+            "graph": {"family": "torus2d", "rows": 4, "cols": 4},
+            "marked": {"block": block},
+        })
+        out = execute(cfg, tmp_path / "out")
+        assert out.exit_code == EXIT_INPUT_ERROR
+        assert out.message == f"marked.block of {block['rows']}x{block['cols']} does not fit the 4x4 torus"
 
     def test_injected_assignment_file(self, tmp_path, torus16):
         verts, vertical, horizontal = block_coefficients(16, 1, 1, 16, 16)
@@ -494,6 +519,40 @@ class TestCli:
         assert "component (9,): bipartite side sums 4 != 0" in capsys.readouterr().err
         assert not list((tmp_path / "o").rglob("*.csv"))
 
+    ZERO_STATE = ("error: the minimum-norm stationary state is zero: every edge joins two marked vertices"
+                  " and every coefficient is 0\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_with_every_vertex_marked_is_exit_2(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
+        cfg = write_config(tmp_path / "all.json", {
+            "graph": {"edge_list": "c4.txt"},
+            "marked": {"vertices": [0, 1, 2, 3]},
+            "t_max": 5,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+        assert capsys.readouterr() == ("", self.ZERO_STATE)
+        assert not list((tmp_path / "o").rglob("*.*"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_solve_with_every_vertex_marked_is_exit_2(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
+        assert main(["solve", str(tmp_path / "c4.txt"), "0,1,2,3"]) == EXIT_INFEASIBLE
+        assert capsys.readouterr() == ("", self.ZERO_STATE)
+
+    def test_every_vertex_marked_runs_an_injected_nonzero_assignment(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
+        alternating = {(0, 1): 1.0, (1, 2): -1.0, (2, 3): 1.0, (0, 3): -1.0}
+        write_assignment_file(tmp_path / "alt.txt", alternating, 1 / np.sqrt(8))
+        cfg = write_config(tmp_path / "alt.json", {
+            "graph": {"edge_list": "c4.txt"},
+            "marked": {"vertices": [0, 1, 2, 3]},
+            "t_max": 5,
+            "assignment": {"file": "alt.txt"},
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=ok" in capsys.readouterr().out
+
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == EXIT_INPUT_ERROR
         assert main(["frobnicate"]) == EXIT_INPUT_ERROR
@@ -569,6 +628,12 @@ class TestCli:
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
         assert main(["solve", str(tmp_path / "c5.txt"), "3,x"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: marked list '3,x': bad integer 'x'\n"
+
+    @pytest.mark.parametrize("marked", ["0,,1", "0,1,", ",0", "0, ,1"])
+    def test_empty_marked_vertex_is_exit_1(self, tmp_path, capsys, marked):
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        assert main(["solve", str(tmp_path / "c5.txt"), marked]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: marked list {marked!r} has an empty vertex\n"
 
     def test_snapshot_vertex_out_of_range_names_line(self, tmp_path, capsys):
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")

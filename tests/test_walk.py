@@ -354,9 +354,9 @@ BLOCK_CASES = {
 
 @pytest.fixture
 def blocked(monkeypatch):
-    """Slice every port-major plan and, once the whole-row step has run,
-    lower the floor, block and dot sizes so small graphs take the blocked
-    step."""
+    """Slice every port-major plan and, once the one-block step has run,
+    lower the floor, block and dot sizes so small graphs take several
+    blocks that sum the norm's squares."""
     monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
 
     def use(name):
@@ -379,7 +379,7 @@ class TestBlockedStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_matches_the_whole_row_step_bit_for_bit(self, blocked, name):
         g, amps, marked, whole_seen, whole = blocked(name)
-        assert _Kernel(g, amps, np.empty(0, dtype=np.int64)).block_moves is not None
+        assert len(_Kernel(g, amps, np.empty(0, dtype=np.int64)).block_moves[0]) > 1
         seen = []
         out = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: seen.append(p))
         assert np.array(seen).tobytes() == np.array(whole_seen).tobytes()
@@ -397,25 +397,33 @@ class TestBlockedStep:
 
     def test_blocks_cover_the_vertices_and_read_within_their_halo(self, monkeypatch):
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
-        monkeypatch.setattr(walk, "_BLOCK_VERTICES", 5)
         g = torus2d_graph(6, 13)
         slices = _coin_plan(g).slices
         halo = max(abs(k) for _, k, _, _ in slices)
-        blocks = walk._blocks(slices, g.n)
+        width = 5
+        blocks = walk._blocks(slices, g.n, width)
         owned = [(a, b) for _, _, a, b, _ in blocks]
         assert owned[0][0] == 0 and owned[-1][1] == g.n
         assert all(b0 == a1 for (_, b0), (a1, _) in zip(owned, owned[1:]))
         for s, e, a, b, moves in blocks:
-            assert 0 < b - a <= walk._BLOCK_VERTICES
+            assert 0 < b - a <= width
             assert max(0, a - halo) <= s <= a and b <= e <= min(g.n, b + halo)
             for q, p, k, j0, j1 in moves:
                 assert a <= j0 < j1 <= b and s <= j0 + k and j1 + k <= e
 
-    def test_whole_row_step_below_the_floor_and_on_gather_plans(self):
+    def test_one_block_below_the_floor_and_the_norm_from_one_dot(self):
         g = torus2d_graph(16, 16)
-        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64)).block_moves is None
-        g = random_regular_graph(20, 3, seed=1)  # a gather plan
-        assert _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64)).block_moves is None
+        assert g.arc_count < walk._BLOCKED_MIN_ARCS
+        amps = random_unit_state_vector(np.random.default_rng(5), g.arc_count)
+        kernel = _Kernel(g, amps, walk._marked_arc_indices(g, [0, 1, 17]))
+        for views in kernel.block_moves:
+            [(rows, sums, _, _, moves)] = views  # exactly one block
+            assert rows.shape == (4, g.n) and sums.size == g.n  # over vertices 0..n
+            assert np.shares_memory(sums, kernel.sums)
+            assert [chunks for *_, chunks in moves] == [[]] * 4  # no dot chunks
+        for _ in range(5):
+            kernel.step()
+            assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_step_and_apply_coin_match_the_reference(self, blocked, name):
