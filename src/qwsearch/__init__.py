@@ -11,8 +11,6 @@ from .bounds import (
     component_bound,
     default_step_budget,
     estimate_diameter,
-    farthest_point_on_sphere,
-    squared_distance,
     total_bound,
 )
 from .graphs import (
@@ -41,7 +39,6 @@ from .stationary import (
     read_assignment_file,
     solve_min_norm,
     verify_stationary,
-    write_assignment_file,
 )
 from .walk import (
     NormDriftError,
@@ -93,13 +90,10 @@ __all__ = [
     "normalization_scale",
     "build_state",
     "verify_stationary",
-    "write_assignment_file",
     "read_assignment_file",
     "BoundReport",
     "component_bound",
     "total_bound",
-    "farthest_point_on_sphere",
-    "squared_distance",
     "estimate_diameter",
     "default_step_budget",
     "__version__",

@@ -1,4 +1,4 @@
-"""Probability ceilings for marked components, and the sphere-argmax pieces.
+"""Probability ceilings for marked components, and default step budgets.
 
 For a marked component with a stationary assignment, the probability of
 observing a marked vertex can never exceed
@@ -25,8 +25,6 @@ __all__ = [
     "BoundReport",
     "component_bound",
     "total_bound",
-    "farthest_point_on_sphere",
-    "squared_distance",
     "estimate_diameter",
     "default_step_budget",
 ]
@@ -40,11 +38,10 @@ class BoundReport:
     total_bound: float
 
 
-def component_bound(comp, assignment: StationaryAssignment) -> float:
-    """Probability ceiling contributed by one component under one
-    assignment, with m the edge count of the component's host graph."""
-    if assignment.component is not comp:
-        raise ValueError("assignment does not solve this component")
+def component_bound(assignment: StationaryAssignment) -> float:
+    """Probability ceiling contributed by the component an assignment
+    solves, with m the edge count of the component's host graph."""
+    comp = assignment.component
     m = comp.graph.edge_count
     if m <= 0:
         raise ValueError(f"edge count must be positive, got {m}")
@@ -57,34 +54,8 @@ def component_bound(comp, assignment: StationaryAssignment) -> float:
 def total_bound(assignments: Sequence[StationaryAssignment]) -> BoundReport:
     """Sum of the component ceilings of disjoint assignments; 0.0 for none."""
     _require_disjoint(assignments)
-    terms = tuple(component_bound(asg.component, asg) for asg in assignments)
+    terms = tuple(component_bound(asg) for asg in assignments)
     return BoundReport(per_component=terms, total_bound=float(sum(terms)))
-
-
-# ---------------------------------------------------------------------------
-# Farthest point from a fixed point over a centered sphere
-# ---------------------------------------------------------------------------
-
-
-def squared_distance(x, a) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sum((x - a) ** 2))
-
-
-def farthest_point_on_sphere(a, r: float) -> np.ndarray:
-    """The point of the radius-``r`` origin-centered sphere farthest from ``a``.
-
-    Closed form: ``-(r/|a|) * a``, with squared distance ``(r + |a|)^2``.
-    Rejects ``a = 0``, where every point of the sphere is equally far.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise ValueError("a = 0 has no unique farthest point on the sphere")
-    return -(r / norm) * a
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ Subcommands::
     qwsearch verify <graph.txt> <marked> <snapshot.txt>   # prints residuals
 
 ``<marked>`` is a comma-separated vertex list with no empty entries,
-e.g. "3,4".  QWALK_THREADS caps sweep workers.  Exit statuses: 0 ok, 1
-input error, 2 infeasible stationary request (no stationary state, or a
-zero one), 3 dominance/stationarity check failed or the walk's norm
-drifted.
+e.g. "3,4".  --t-max is at most 10^6.  QWALK_THREADS caps sweep
+workers.  Exit statuses: 0 ok, 1 input error (a graph too large to
+allocate and a --t-max above 10^6 included), 2 infeasible stationary
+request (no stationary state, or a zero one), 3 dominance/stationarity
+check failed or the walk's norm drifted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .stationary import (
     normalization_scale,
     solve_min_norm,
     verify_stationary,
-    write_assignment_file,
 )
 from .walk import read_state_snapshot
 
@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
     coefficients = merged_coefficients(assignments)
     scale = normalization_scale(g, assignments)
     if args.out:
-        write_assignment_file(args.out, coefficients, scale)
+        Path(args.out).write_text(format_assignment(coefficients, scale))
         print(f"wrote {args.out}")
     else:
         print(format_assignment(coefficients, scale), end="")
@@ -153,6 +153,9 @@ def main(argv=None) -> int:
         return experiments.EXIT_INFEASIBLE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return experiments.EXIT_INPUT_ERROR
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return experiments.EXIT_INPUT_ERROR
 
 

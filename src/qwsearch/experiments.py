@@ -14,7 +14,7 @@ Config document (strict JSON; unknown and repeated keys are rejected)::
                 {"vertices": [3, 4]}
                 {"block": {"rows": 2, "cols": 2, "row_offset": 1, "col_offset": 1}}
                 {"pairs": {"k": 3, "seed": 11}},
-      "t_max": 2000,                 # optional; default 10 * diameter^2, capped at 10^4
+      "t_max": 2000,                 # optional, at most 10^6; default 10 * diameter^2, capped at 10^4
       "assignment": "min_norm",      # optional (default); or {"file": "assignment.txt"}
       "csv": "steps.csv",            # optional output-name overrides,
       "report": "report.json"        # resolved inside the output directory
@@ -31,8 +31,10 @@ The pairs pattern marks k pairwise non-adjacent adjacent-vertex pairs,
 chosen deterministically from the seed.
 
 Exit statuses: 0 = dominance and stationarity checks passed, 1 = input
-error, 2 = infeasible stationary request (no stationary state, or a zero
-one), 3 = a check failed, the walk's norm guard (NormDriftError) included.
+error (a graph too large to allocate and a ``t_max`` above T_MAX_LIMIT
+included), 2 = infeasible stationary request (no stationary state, or a
+zero one), 3 = a check failed, the walk's norm guard (NormDriftError)
+included.
 
 A single marked vertex of positive degree exits 2 by design: it is a
 bipartite component with one empty side, so it has no stationary state
@@ -83,6 +85,7 @@ __all__ = [
     "EXIT_INFEASIBLE",
     "EXIT_CHECK_FAILED",
     "DOMINANCE_SLACK",
+    "T_MAX_LIMIT",
     "RESIDUAL_LIMIT",
 ]
 
@@ -93,6 +96,10 @@ EXIT_CHECK_FAILED = 3
 
 # Numerical slack for the dominance verdict.
 DOMINANCE_SLACK = 1e-9
+
+# Largest explicit step count: 100 times the default budget's cap.  Every
+# step's CSV row is held in memory until the run ends.
+T_MAX_LIMIT = 10**6
 
 _GRAPH_FAMILY_KEYS = {
     "cycle": {"n"},
@@ -233,6 +240,8 @@ def load_config(path) -> ExperimentConfig:
         t_max = _as_int(t_max, f"{path}: t_max")
         if t_max < 0:
             raise ValueError(f"{path}: t_max must be nonnegative, got {t_max}")
+        if t_max > T_MAX_LIMIT:
+            raise ValueError(f"{path}: t_max must be at most {T_MAX_LIMIT}, got {t_max}")
     assignment = obj.get("assignment", "min_norm")
     if assignment == "min_norm":
         assignment_file = None
@@ -279,6 +288,8 @@ def select_disjoint_pairs(g: Graph, k: int, seed: int) -> list[int]:
     the i-th arc (u, v) with u < v in arc order, which is the i-th entry
     of ``g.edge_list()``.
     """
+    if seed < 0:
+        raise ValueError(f"marked.pairs needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     forward = g.arc_source < g.targets
     us, vs = g.arc_source[forward], g.targets[forward]
@@ -453,7 +464,8 @@ def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None) -> 
     """Load, override, and run one config, mapping errors to exit statuses.
 
     A walk that leaves the unit sphere (NormDriftError) is a failed check,
-    exit 3, with no artifacts written.
+    exit 3, and a graph too large to allocate (MemoryError) an input error,
+    exit 1, both with no artifacts written.
     """
     try:
         cfg = load_config(config_path)
@@ -463,6 +475,8 @@ def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None) -> 
         return ExperimentOutcome(EXIT_INFEASIBLE, None, None, None, str(err))
     except (ValueError, OSError) as err:
         return ExperimentOutcome(EXIT_INPUT_ERROR, None, None, None, str(err))
+    except MemoryError as err:
+        return ExperimentOutcome(EXIT_INPUT_ERROR, None, None, None, f"out of memory: {err}")
     except NormDriftError as err:
         return ExperimentOutcome(EXIT_CHECK_FAILED, None, None, None, str(err))
 
@@ -471,6 +485,8 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
     if t_max is not None:
         if t_max < 0:
             raise ValueError(f"t_max must be nonnegative, got {t_max}")
+        if t_max > T_MAX_LIMIT:
+            raise ValueError(f"t_max must be at most {T_MAX_LIMIT}, got {t_max}")
         cfg = replace(cfg, t_max=int(t_max))
     if seed is not None:
         graph = cfg.graph

@@ -241,6 +241,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"random_regular needs 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"random_regular needs n*d even, got n={n}, d={d}")
+    if seed < 0:
+        raise ValueError(f"random_regular needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def suitable(edges, potential):
@@ -326,14 +328,6 @@ class MarkedComponent:
     outgoing_degree: Mapping[int, int]
     total_outgoing: int
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def is_bipartite(self) -> bool:
-        return self.bipartition is not None
 
     def bipartite_outgoing_sums(self) -> tuple[int, int] | None:
         """Totals of outgoing degree on the two sides, or None if non-bipartite."""

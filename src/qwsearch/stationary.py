@@ -41,7 +41,6 @@ __all__ = [
     "build_state",
     "verify_stationary",
     "format_assignment",
-    "write_assignment_file",
     "read_assignment_file",
 ]
 
@@ -78,13 +77,6 @@ class StationaryAssignment:
 
     component: MarkedComponent
     coefficients: Mapping[tuple[int, int], float]
-
-    @property
-    def scale(self) -> float:
-        """The amplitude ``a`` normalizing the state when this is the only
-        assignment on its graph; several components share one joint scale
-        (see :func:`normalization_scale`)."""
-        return normalization_scale(self.component.graph, [self])
 
     @property
     def sum_sq_directed(self) -> float:
@@ -320,10 +312,6 @@ def format_assignment(coefficients: Mapping[tuple[int, int], float], scale: floa
     lines = [f"{i} {j} {c:.17e}" for (i, j), c in sorted(coefficients.items())]
     lines.append(f"a {scale:.17e}")
     return "\n".join(lines) + "\n"
-
-
-def write_assignment_file(path, coefficients: Mapping[tuple[int, int], float], scale: float) -> None:
-    Path(path).write_text(format_assignment(coefficients, scale))
 
 
 def read_assignment_file(path) -> tuple[dict[tuple[int, int], float], float]:

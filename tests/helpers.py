@@ -2,7 +2,8 @@
 
 The dense matrices are built straight from the operator definitions and
 stay independent of the matrix-free code paths they check; the sphere
-search is independent of the closed-form farthest point it checks, and
+search is independent of the closed-form farthest point it checks (the
+proof's device for the ceiling, kept here because only tests use it), and
 the plain-Python CSR builder (sorted adjacency lists, reverse arcs found
 through a dict) of the single sort ``build_graph`` takes its arrays from.
 The edge-list family builders, the pair-selection loop and the per-vertex
@@ -29,7 +30,6 @@ from qwsearch import (
     evolve,
     initial_state,
     random_regular_graph,
-    squared_distance,
     torus2d_graph,
 )
 
@@ -260,6 +260,27 @@ def block_coefficients(cols: int, row_off: int, col_off: int, rows_total: int, c
     vertical = [tuple(sorted(p)) for p in ((v00, v10), (v01, v11))]
     horizontal = [tuple(sorted(p)) for p in ((v00, v01), (v10, v11))]
     return [v00, v01, v10, v11], vertical, horizontal
+
+
+def squared_distance(x, a) -> float:
+    x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    return float(np.sum((x - a) ** 2))
+
+
+def farthest_point_on_sphere(a, r: float) -> np.ndarray:
+    """The point of the radius-``r`` origin-centered sphere farthest from ``a``.
+
+    Closed form: ``-(r/|a|) * a``, with squared distance ``(r + |a|)^2``.
+    Rejects ``a = 0``, where every point of the sphere is equally far.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        raise ValueError("a = 0 has no unique farthest point on the sphere")
+    return -(r / norm) * a
 
 
 def farthest_point_brute_force(a, r: float, samples: int, seed: int) -> tuple[np.ndarray, float]:

@@ -18,14 +18,13 @@ from qwsearch import (
     cycle_graph,
     evolve,
     exists_stationary,
-    farthest_point_on_sphere,
     initial_state,
     make_assignment,
     marked_components,
     marked_probability,
+    normalization_scale,
     random_regular_graph,
     solve_min_norm,
-    squared_distance,
     step,
     torus2d_graph,
     total_bound,
@@ -37,10 +36,12 @@ from helpers import (
     block_coefficients,
     dense_step_matrix,
     farthest_point_brute_force,
+    farthest_point_on_sphere,
     grow_connected_marked_set,
     max_marked_probability_oracle,
     random_simple_graph,
     random_unit_state_vector,
+    squared_distance,
 )
 
 
@@ -84,7 +85,7 @@ def test_criterion_2_lattice_block_states():
             assert all(
                 c == pytest.approx(-1.0, abs=1e-12) for c in min_norm.coefficients.values()
             )
-            assert min_norm.scale == pytest.approx(1.0 / math.sqrt(4 * n), rel=1e-10)
+            assert normalization_scale(g, [min_norm]) == pytest.approx(1.0 / math.sqrt(4 * n), rel=1e-10)
             s_min = build_state(g, [min_norm])
             assert marked_probability(s_min, verts) == pytest.approx(4.0 / n, rel=1e-10)
             assert verify_stationary(g, verts, s_min).residual <= 1e-12
@@ -92,7 +93,7 @@ def test_criterion_2_lattice_block_states():
             injected = make_assignment(
                 comp, {e: -3.0 for e in vertical} | {e: 1.0 for e in horizontal}
             )
-            assert injected.scale == pytest.approx(1.0 / math.sqrt(4 * (n + 8)), rel=1e-10)
+            assert normalization_scale(g, [injected]) == pytest.approx(1.0 / math.sqrt(4 * (n + 8)), rel=1e-10)
             s_inj = build_state(g, [injected])
             assert marked_probability(s_inj, verts) == pytest.approx(12.0 / (n + 8), rel=1e-10)
             assert verify_stationary(g, verts, s_inj).residual <= 1e-12
@@ -130,7 +131,7 @@ def test_criterion_3_bound_dominance():
         n = g.n
         verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
         (comp,) = marked_components(g, verts)
-        bound = component_bound(comp, solve_min_norm(comp))
+        bound = component_bound(solve_min_norm(comp))
         assert bound == pytest.approx(32.0 / n, rel=1e-12)
         observed = max_marked_probability_oracle(g, verts, 5000)
         assert observed <= bound + 1e-9
@@ -218,7 +219,7 @@ def test_criterion_5_existence_classifier_vs_least_squares():
                 except InfeasibleComponentError:
                     solved = False
                 assert solved == predicted, f"disagreement at seed={seed}, marked={marked}"
-                if comp.is_bipartite:
+                if comp.bipartition is not None:
                     a, b = comp.bipartite_outgoing_sums()
                     if a != b:
                         assert not solved

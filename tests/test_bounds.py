@@ -9,12 +9,10 @@ from qwsearch import (
     cycle_graph,
     default_step_budget,
     estimate_diameter,
-    farthest_point_on_sphere,
     make_assignment,
     marked_components,
     random_regular_graph,
     solve_min_norm,
-    squared_distance,
     torus2d_graph,
     total_bound,
 )
@@ -23,9 +21,11 @@ from qwsearch.experiments import select_disjoint_pairs
 from helpers import (
     block_coefficients,
     farthest_point_brute_force,
+    farthest_point_on_sphere,
     grow_connected_marked_set,
     max_marked_probability_oracle,
     random_simple_graph,
+    squared_distance,
 )
 
 
@@ -37,25 +37,25 @@ def solved(g, marked):
 class TestComponentBound:
     def test_block_on_torus256(self, torus16):
         verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
-        comp, asg = solved(torus16, verts)
+        _, asg = solved(torus16, verts)
         # 4a0^2 * (8 + 16 + 8) with a0^2 = 1/1024
-        assert component_bound(comp, asg) == pytest.approx(0.125, rel=1e-12)
-        assert component_bound(comp, asg) == pytest.approx(32 / torus16.n, rel=1e-12)
+        assert component_bound(asg) == pytest.approx(0.125, rel=1e-12)
+        assert component_bound(asg) == pytest.approx(32 / torus16.n, rel=1e-12)
 
     def test_adjacent_pair_simplifies_to_4d2_over_m(self):
         for d, n in ((3, 20), (4, 30), (5, 42)):
             g = random_regular_graph(n, d, seed=d)
             u, v = g.edge_list()[0]
-            comp, asg = solved(g, {u, v})
-            assert component_bound(comp, asg) == pytest.approx(4 * d * d / g.edge_count, rel=1e-10)
+            _, asg = solved(g, {u, v})
+            assert component_bound(asg) == pytest.approx(4 * d * d / g.edge_count, rel=1e-10)
 
     def test_injected_block_is_looser(self, torus16):
         verts, vertical, horizontal = block_coefficients(16, 1, 1, 16, 16)
         (comp,) = marked_components(torus16, verts)
         injected = make_assignment(comp, {e: -3.0 for e in vertical} | {e: 1.0 for e in horizontal})
         # directed sum of squares 2*(9+9+1+1) = 40 -> 4a0^2 * (40 + 16 + 8)
-        assert component_bound(comp, injected) == pytest.approx(0.25, rel=1e-12)
-        assert component_bound(comp, solve_min_norm(comp)) < component_bound(comp, injected)
+        assert component_bound(injected) == pytest.approx(0.25, rel=1e-12)
+        assert component_bound(solve_min_norm(comp)) < component_bound(injected)
 
     def test_min_norm_is_tightest_in_family(self):
         rng = np.random.default_rng(31)
@@ -88,7 +88,7 @@ class TestComponentBound:
                 e: base.coefficients[e] + float(delta[j]) for j, e in enumerate(edges)
             }
             alt = make_assignment(comp, alt_coeffs)
-            assert component_bound(comp, base) <= component_bound(comp, alt) + 1e-12
+            assert component_bound(base) <= component_bound(alt) + 1e-12
             compared += 1
         assert compared >= 3
 
@@ -102,15 +102,7 @@ class TestComponentBound:
                 asg = solve_min_norm(comp)
             except Exception:
                 continue
-            assert component_bound(comp, asg) > 0.0
-
-    def test_mismatched_assignment_rejected(self, torus16, cycle5):
-        verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
-        comp, _asg = solved(torus16, verts)
-        (other_comp,) = marked_components(cycle5, {3, 4})
-        other_asg = solve_min_norm(other_comp)
-        with pytest.raises(ValueError, match="does not solve"):
-            component_bound(comp, other_asg)
+            assert component_bound(asg) > 0.0
 
     def test_bracket_opening_identity(self):
         # directed sum of (c - 1)^2 equals directed sum of c^2 + 2D + 2E
@@ -142,14 +134,14 @@ class TestTotalBound:
         assignments = [solve_min_norm(c) for c in comps]
         report = total_bound(assignments)
         assert report.total_bound == pytest.approx(
-            sum(component_bound(c, a) for c, a in zip(comps, assignments)), rel=1e-14
+            sum(component_bound(a) for a in assignments), rel=1e-14
         )
         assert report.total_bound == pytest.approx(3 * 0.125, rel=1e-12)
 
     def test_single_component_equals_component_bound(self, torus16):
         verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
-        comp, asg = solved(torus16, verts)
-        assert total_bound([asg]).total_bound == component_bound(comp, asg)
+        _, asg = solved(torus16, verts)
+        assert total_bound([asg]).total_bound == component_bound(asg)
 
     def test_empty(self):
         report = total_bound([])
@@ -256,7 +248,7 @@ class TestOracle:
         g = torus2d_graph(8, 8)
         verts, _, _ = block_coefficients(8, 1, 1, 8, 8)
         (comp,) = marked_components(g, verts)
-        bound = component_bound(comp, solve_min_norm(comp))
+        bound = component_bound(solve_min_norm(comp))
         assert max_marked_probability_oracle(g, verts, 400) <= bound + 1e-9
 
     def test_t_max_validation(self, torus4):

@@ -13,7 +13,6 @@ from qwsearch import (
     merged_coefficients,
     normalization_scale,
     solve_min_norm,
-    write_assignment_file,
     write_edge_list,
 )
 from qwsearch import experiments, walk
@@ -24,12 +23,14 @@ from qwsearch.experiments import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     REPORT_SCHEMA,
+    T_MAX_LIMIT,
     execute,
     format_sweep_table,
     load_config,
     select_disjoint_pairs,
     sweep,
 )
+from qwsearch.stationary import format_assignment
 
 from helpers import block_coefficients
 
@@ -130,6 +131,11 @@ class TestConfigParsing:
             load_config(path)
         out = execute(path, tmp_path / "out")
         assert out.exit_code == EXIT_INPUT_ERROR and "\n" not in out.message
+
+    def test_t_max_limit(self, tmp_path):
+        assert load_config(fig_cycle_config(tmp_path, t_max=T_MAX_LIMIT)).t_max == 10**6
+        with pytest.raises(ValueError, match="t_max must be at most 1000000, got 1000001"):
+            load_config(fig_cycle_config(tmp_path, t_max=T_MAX_LIMIT + 1))
 
     def test_non_integer_t_max(self, tmp_path):
         path = fig_cycle_config(tmp_path, t_max=2.5)
@@ -278,7 +284,7 @@ class TestRun:
         verts, vertical, horizontal = block_coefficients(16, 1, 1, 16, 16)
         comps = marked_components(torus16, verts)
         coeffs = {e: -3.0 for e in vertical} | {e: 1.0 for e in horizontal}
-        write_assignment_file(tmp_path / "psi1.txt", coeffs, 1.0 / np.sqrt(4 * (256 + 8)))
+        (tmp_path / "psi1.txt").write_text(format_assignment(coeffs, 1.0 / np.sqrt(4 * (256 + 8))))
         cfg = write_config(tmp_path / "inj.json", {
             "graph": {"family": "torus2d", "rows": 16, "cols": 16},
             "marked": {"block": {"rows": 2, "cols": 2, "row_offset": 1, "col_offset": 1}},
@@ -294,7 +300,7 @@ class TestRun:
         assert r["bound_total"] == pytest.approx(0.25, rel=1e-12)
 
     def test_injected_scale_mismatch_is_exit_1(self, tmp_path, capsys):
-        write_assignment_file(tmp_path / "asg.txt", {(3, 4): -1.0}, 123.0)
+        (tmp_path / "asg.txt").write_text(format_assignment({(3, 4): -1.0}, 123.0))
         cfg = fig_cycle_config(tmp_path, assignment={"file": "asg.txt"})
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
@@ -348,7 +354,7 @@ class TestSelectDisjointPairs:
         marked = select_disjoint_pairs(torus16, 4, seed=3)
         comps = marked_components(torus16, marked)
         assert len(comps) == 4
-        assert all(c.size == 2 and len(c.internal_edges) == 1 for c in comps)
+        assert all(len(c.vertices) == 2 and len(c.internal_edges) == 1 for c in comps)
 
     def test_deterministic(self, torus16):
         assert select_disjoint_pairs(torus16, 3, seed=8) == select_disjoint_pairs(torus16, 3, seed=8)
@@ -543,7 +549,7 @@ class TestCli:
     def test_every_vertex_marked_runs_an_injected_nonzero_assignment(self, tmp_path, capsys):
         write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
         alternating = {(0, 1): 1.0, (1, 2): -1.0, (2, 3): 1.0, (0, 3): -1.0}
-        write_assignment_file(tmp_path / "alt.txt", alternating, 1 / np.sqrt(8))
+        (tmp_path / "alt.txt").write_text(format_assignment(alternating, 1 / np.sqrt(8)))
         cfg = write_config(tmp_path / "alt.json", {
             "graph": {"edge_list": "c4.txt"},
             "marked": {"vertices": [0, 1, 2, 3]},
@@ -552,6 +558,59 @@ class TestCli:
         })
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
         assert "status=ok" in capsys.readouterr().out
+
+    def test_t_max_override_above_the_limit_is_exit_1(self, tmp_path, capsys):
+        cfg = fig_cycle_config(tmp_path)
+        assert main(["run", str(cfg), "--t-max", "1000001", "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: t_max must be at most 1000000, got 1000001\n"
+
+    @pytest.mark.parametrize("graph, marked, argv, message", [
+        ({"family": "random_regular", "n": 24, "d": 3, "seed": -1}, {"vertices": [0]}, [],
+         "random_regular needs seed >= 0, got -1"),
+        ({"family": "cycle", "n": 8}, {"pairs": {"k": 1, "seed": -5}}, [],
+         "marked.pairs needs seed >= 0, got -5"),
+        ({"family": "cycle", "n": 8}, {"pairs": {"k": 1, "seed": 5}}, ["--seed", "-2"],
+         "marked.pairs needs seed >= 0, got -2"),
+    ], ids=["graph.seed", "marked.pairs.seed", "--seed"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, graph, marked, argv, message):
+        cfg = write_config(tmp_path / "seed.json", {"graph": graph, "marked": marked, "t_max": 5})
+        assert main(["run", str(cfg), *argv, "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # 10^15 vertices: one int64 vertex array needs 8 PB, so its allocation fails at once.
+    HUGE_N = 1_000_000_000_000_000
+
+    @staticmethod
+    def assert_one_out_of_memory_line(err):
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_run_of_a_graph_too_large_to_allocate_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "huge.json", {
+            "graph": {"family": "cycle", "n": self.HUGE_N},
+            "marked": {"vertices": [0, 1]},
+            "t_max": 1,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        self.assert_one_out_of_memory_line(capsys.readouterr().err)
+
+    def test_sweep_reports_a_graph_too_large_to_allocate_and_runs_the_rest(self, tmp_path, capsys):
+        write_config(tmp_path / "huge.json", {
+            "graph": {"family": "cycle", "n": self.HUGE_N},
+            "marked": {"vertices": [0, 1]},
+            "t_max": 1,
+        })
+        fig_cycle_config(tmp_path)
+        assert main(["sweep", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        table = capsys.readouterr().out.splitlines()
+        assert table[1].startswith("cycle.json") and table[1].endswith(" ok")
+        assert table[2].startswith("huge.json") and "error(1): out of memory" in table[2]
+
+    def test_solve_of_a_graph_too_large_to_allocate_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "huge.txt").write_text(f"{self.HUGE_N} 0\n")
+        assert main(["solve", str(tmp_path / "huge.txt"), "0"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_one_out_of_memory_line(captured.err)
 
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == EXIT_INPUT_ERROR

@@ -402,7 +402,7 @@ class TestMarkedComponents:
             k = int(rng.integers(1, min(10, g.n) + 1))
             marked = {int(v) for v in rng.choice(g.n, size=k, replace=False)}
             for c in marked_components(g, marked):
-                assert c.is_bipartite == brute_force_bipartite(c.vertices, c.internal_edges)
+                assert (c.bipartition is not None) == brute_force_bipartite(c.vertices, c.internal_edges)
                 if c.bipartition is not None:
                     a, b = c.bipartition
                     assert sorted(a + b) == list(c.vertices)

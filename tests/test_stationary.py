@@ -27,10 +27,9 @@ from qwsearch import (
     step,
     torus2d_graph,
     verify_stationary,
-    write_assignment_file,
     write_state_snapshot,
 )
-from qwsearch.stationary import CONSTRAINT_TOL
+from qwsearch.stationary import CONSTRAINT_TOL, format_assignment
 
 from helpers import (
     block_coefficients,
@@ -170,7 +169,7 @@ class TestBuildState:
         comp = single_component(torus16, verts)
         asg = solve_min_norm(comp)
         n = torus16.n
-        assert asg.scale == pytest.approx(1.0 / math.sqrt(4 * n), rel=1e-12)
+        assert normalization_scale(torus16, [asg]) == pytest.approx(1.0 / math.sqrt(4 * n), rel=1e-12)
         state = build_state(torus16, [asg])
         assert marked_probability(state, verts) == pytest.approx(4.0 / n, rel=1e-12)
 
@@ -180,7 +179,7 @@ class TestBuildState:
         coeffs = {e: -3.0 for e in vertical} | {e: 1.0 for e in horizontal}
         asg = make_assignment(comp, coeffs)
         n = torus16.n
-        assert asg.scale == pytest.approx(1.0 / math.sqrt(4 * (n + 8)), rel=1e-12)
+        assert normalization_scale(torus16, [asg]) == pytest.approx(1.0 / math.sqrt(4 * (n + 8)), rel=1e-12)
         state = build_state(torus16, [asg])
         assert marked_probability(state, verts) == pytest.approx(12.0 / (n + 8), rel=1e-12)
 
@@ -239,7 +238,7 @@ class TestMakeAssignment:
         solved = solve_min_norm(comp)
         injected = make_assignment(comp, solved.coefficients)
         assert injected.coefficients == solved.coefficients
-        assert injected.scale == solved.scale
+        assert normalization_scale(cycle5, [injected]) == normalization_scale(cycle5, [solved])
 
     def test_matches_per_vertex_scan(self):
         # Solved coefficients must pass with bit-equal values; perturbing one
@@ -359,8 +358,8 @@ class TestAssignmentFileIO:
         comps = marked_components(torus16, verts)
         assignments = [solve_min_norm(c) for c in comps]
         path = tmp_path / "asg.txt"
-        write_assignment_file(path, merged_coefficients(assignments),
-                              normalization_scale(torus16, assignments))
+        path.write_text(format_assignment(merged_coefficients(assignments),
+                                          normalization_scale(torus16, assignments)))
         coeffs, scale = read_assignment_file(path)
         rebuilt = assignments_from_coefficients(comps, coeffs)
         direct = build_state(torus16, assignments)
