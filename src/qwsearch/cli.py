@@ -8,11 +8,13 @@ Subcommands::
     qwsearch verify <graph.txt> <marked> <snapshot.txt>   # prints residuals
 
 ``<marked>`` is a comma-separated vertex list with no empty entries,
-e.g. "3,4".  --t-max is at most 10^6.  QWALK_THREADS caps sweep
-workers.  Exit statuses: 0 ok, 1 input error (a graph too large to
-allocate and a --t-max above 10^6 included), 2 infeasible stationary
-request (no stationary state, or a zero one), 3 dominance/stationarity
-check failed or the walk's norm drifted.
+e.g. "3,4".  --t-max is at most 10^6.  --assignment FILE is read from
+the working directory.  QWALK_THREADS caps sweep workers, and a sweep
+given no *.json config exits 1.  Exit statuses: 0 ok, 1 input error (a
+graph too large to allocate, a vertex count above the int64 maximum and
+a --t-max above 10^6 included), 2 infeasible stationary request (no
+stationary state, or a zero one), 3 dominance/stationarity check failed
+or the walk's norm drifted.
 """
 
 from __future__ import annotations
@@ -43,9 +45,14 @@ def _parse_marked(text: str) -> list[int]:
     return sorted({_parse_int(v, f"marked list {text!r}") for v in items})
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One line, like every other input error: no usage block before it.
+        self.exit(experiments.EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qwsearch", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qwsearch", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment config")
@@ -105,6 +112,8 @@ def _expand_sweep_paths(paths) -> list[Path]:
 
 def _cmd_sweep(args) -> int:
     configs = _expand_sweep_paths(args.paths)
+    if not configs:
+        raise ValueError(f"no *.json configs in {', '.join(args.paths)}")
     rows, code = experiments.sweep(configs, args.out_dir, t_max=args.t_max, seed=args.seed)
     print(experiments.format_sweep_table(rows))
     return code

@@ -24,17 +24,20 @@ File names (``edge_list``, ``file``, ``csv``, ``report``) must be
 non-empty strings.  The CSV and report names must differ and be plain file
 names, with no directory part, so both land in the output directory.
 
-Relative input paths are resolved against the config file's directory.
-The block pattern addresses torus2d graphs row-major, so it is only valid
-with the torus2d family, and may not be taller or wider than the torus.
+An edge-list graph takes no other key.  Relative input paths are
+resolved against the config file's directory; an assignment file given
+to :func:`execute` (the CLI's ``--assignment``) against the working
+directory.  The block pattern addresses torus2d graphs row-major, so it
+is only valid with the torus2d family, and may not be taller or wider
+than the torus.
 The pairs pattern marks k pairwise non-adjacent adjacent-vertex pairs,
 chosen deterministically from the seed.
 
 Exit statuses: 0 = dominance and stationarity checks passed, 1 = input
-error (a graph too large to allocate and a ``t_max`` above T_MAX_LIMIT
-included), 2 = infeasible stationary request (no stationary state, or a
-zero one), 3 = a check failed, the walk's norm guard (NormDriftError)
-included.
+error (a graph too large to allocate, a vertex count above the int64
+maximum and a ``t_max`` above T_MAX_LIMIT included), 2 = infeasible
+stationary request (no stationary state, or a zero one), 3 = a check
+failed, the walk's norm guard (NormDriftError) included.
 
 A single marked vertex of positive degree exits 2 by design: it is a
 bipartite component with one empty side, so it has no stationary state
@@ -165,6 +168,7 @@ def _parse_graph_spec(obj) -> GraphSpec:
     if has_family == has_edge_list:
         raise ValueError("graph: exactly one of 'family' and 'edge_list' is required")
     if has_edge_list:
+        _reject_unknown(obj, {"edge_list"}, "graph with an edge_list")
         return GraphSpec(family=None, params={}, edge_list=_as_name(obj["edge_list"], "graph.edge_list"))
     family = obj["family"]
     if not isinstance(family, str) or family not in _GRAPH_FAMILY_KEYS:
@@ -498,7 +502,8 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
             payload["seed"] = int(seed)
             cfg = replace(cfg, marked=MarkedSpec("pairs", payload))
     if assignment is not None:
-        cfg = replace(cfg, assignment_file=str(assignment))
+        # Unlike the config's own assignment.file, not relative to the config.
+        cfg = replace(cfg, assignment_file=str(Path(assignment).absolute()))
     return cfg
 
 

@@ -145,8 +145,7 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     offending edge: the first self-loop or out-of-range edge in input
     order, else the smallest duplicated edge.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    _check_vertex_count(n)
     if not isinstance(edges, np.ndarray):
         edges = [(int(u), int(v)) for u, v in edges]
     try:
@@ -193,6 +192,14 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     return Graph(n, offsets, targets, reverse, degrees, arc_source)
 
 
+def _check_vertex_count(n: int, where: str = "vertex count") -> None:
+    """Reject a negative n, or one that numpy cannot take as an array length."""
+    if n < 0:
+        raise ValueError(f"{where} must be nonnegative, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"{where} {n} is above the int64 maximum")
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -202,6 +209,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle 0 - 1 - ... - (n-1) - 0 (2-regular)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got n={n}")
+    _check_vertex_count(n)
     v = np.arange(n, dtype=np.int64)
     return build_graph(np.stack([v, (v + 1) % n], axis=1), n)
 
@@ -214,6 +222,7 @@ def torus2d_graph(rows: int, cols: int) -> Graph:
     if rows < 3 or cols < 3:
         raise ValueError(f"torus2d needs rows, cols >= 3, got {rows}x{cols}")
     n = rows * cols
+    _check_vertex_count(n)
     v = np.arange(n, dtype=np.int64)
     # Every right edge, then every down edge: each half of the arc keys
     # comes in a few ascending runs, which the stable sort merges quickly.
@@ -228,6 +237,7 @@ def complete_graph(n: int) -> Graph:
     """Complete graph K_n ((n-1)-regular)."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
+    _check_vertex_count(n)
     return build_graph(np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64, copy=False), n)
 
 
@@ -243,6 +253,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"random_regular needs n*d even, got n={n}, d={d}")
     if seed < 0:
         raise ValueError(f"random_regular needs seed >= 0, got {seed}")
+    _check_vertex_count(n)
     rng = np.random.default_rng(seed)
 
     def suitable(edges, potential):
@@ -432,6 +443,7 @@ def read_edge_list(path) -> Graph:
     if not rows or len(rows[0]) != 2:
         raise ValueError(f"{path}: first line must be 'n m'")
     n, m = (_parse_int(v, f"{path}:{linenos[0]}") for v in rows[0])
+    _check_vertex_count(n, f"{path}:{linenos[0]}: vertex count")
     linenos, rows = linenos[1:], rows[1:]
     if len(rows) != m:
         raise ValueError(f"{path}: expected {m} edge lines, found {len(rows)}")

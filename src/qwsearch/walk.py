@@ -31,6 +31,12 @@ largest vertex offset a slice reads) and subtracts while the block is in
 cache.  One block covers every vertex below _BLOCKED_MIN_ARCS arcs, where
 the state fits in L2; larger states take cache-sized blocks.  The
 amplitudes are the same bits however the vertices are blocked.
+
+``evolve``'s norm guard is one dot of the whole state after every step,
+on every plan.  numpy hands a dot of more than 10,000 elements to BLAS,
+and OpenBLAS left at its default thread count runs it on threads of its
+own that spin on the other cores: pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1), as the benchmark harness does.
 """
 
 from __future__ import annotations
@@ -147,17 +153,15 @@ _PORT_MAJOR_MAX_DEGREE = 8
 _SLICE_MAX_FIX_FRACTION = 0.25
 
 # Fewest arcs for which a sliced plan's step runs in blocks of
-# _BLOCK_VERTICES vertices that also sum the squares of what they write
-# for the norm (see _Kernel); below it one block covers every vertex and
-# the norm is one dot of the state.  Per step, norm included, cache-sized
-# blocks against one block on 4-regular tori (one thread on a 2-vCPU Xeon
-# with 2 MB of L2 per core, numpy 2.4, OpenBLAS pinned to one thread;
-# medians and quartiles of 9 interleaved rounds): 1.10 [1.06, 1.26] of its
-# time at 2^17 arcs, 0.97 [0.92, 1.02] at 2^18, whose 2 MB state fits in
-# L2, 0.72 [0.66, 0.75] at 2^19 and 0.66 [0.64, 0.68] at 2^20.  The
-# crossover lies between 2^18 and 2^19, so the floor is 2^19.  Summing the
-# squares in the one block's chunks as well took 118 us per 128x128 step
-# against 93 us with one dot (medians of 11 interleaved rounds).
+# _BLOCK_VERTICES vertices (see _Kernel); below it one block covers every
+# vertex.  Either way the norm is one dot of the whole state.  Per step,
+# that dot included, cache-sized blocks against one block on 4-regular
+# tori (one thread on a 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4,
+# OpenBLAS pinned to one thread; medians and quartiles of 9 interleaved
+# rounds): 1.05 [0.97, 1.19] of its time at 2^17 arcs, 0.92 [0.87, 1.00]
+# at 2^18, whose 2 MB state fits in L2, 0.75 [0.72, 0.78] at 2^19 and
+# 0.72 [0.70, 0.72] at 2^20.  The gain is inside the noise below 2^19,
+# so the floor is 2^19.
 _BLOCKED_MIN_ARCS = 1 << 19
 
 # Vertices per block of the sliced step at and above _BLOCKED_MIN_ARCS.
@@ -166,15 +170,6 @@ _BLOCKED_MIN_ARCS = 1 << 19
 # vertices gave median steps of 4.0, 3.6, 3.4 and 3.9 ms (7 interleaved
 # rounds).
 _BLOCK_VERTICES = 1 << 15
-
-# Most elements per np.dot in the blocks' sums of squares.  OpenBLAS runs
-# a dot of more than 10,000 elements on threads of its own, unless told to
-# use one, and they spin on the other core between calls: left at its
-# default, a 512x512 blocked step with one dot per slice subtract took
-# 4.3 ms and 0.57 s of CPU per 60-step run, against 4.1 ms and 0.40 s with
-# dots of 8192 elements.  With OpenBLAS pinned to one thread the two were
-# within the noise (3.8 against 3.9 ms; medians of 7 interleaved rounds).
-_DOT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -325,13 +320,11 @@ class _Kernel:
     write the coin's image to ``spare`` and gather it back into ``x``
     through ``shift``.
 
-    Below _BLOCKED_MIN_ARCS arcs one block covers all n vertices and the
-    norm is one dot of the state.  At and above it the blocks have
-    _BLOCK_VERTICES vertices, and each also returns the sum of squares of
-    what it wrote; with the fix-ups' share they give the norm (its last
-    bits differ from a dot of the whole state, and it feeds only the drift
-    guard).  ``coin`` alone, which ``apply_coin`` runs, sums every vertex
-    at once.
+    Below _BLOCKED_MIN_ARCS arcs one block covers all n vertices; at and
+    above it the blocks have _BLOCK_VERTICES vertices.  ``coin`` alone,
+    which ``apply_coin`` runs, sums every vertex at once.  On every plan
+    ``norm`` is one dot of the whole state; pin BLAS to one thread for it,
+    as the benchmark does (see the module docstring).
 
     The blocks run on the calling thread.  Shared between two threads, they
     ran 200 steps of a 512x512 torus in 0.47-0.69 s against 0.73-0.84 s on
@@ -360,7 +353,6 @@ class _Kernel:
             self.x[:] = amplitudes
             self.arcs = arcs
         self.spare = _page_placed(amplitudes.size, 1)
-        self.fused_norm = plan.slices is not None and amplitudes.size >= _BLOCKED_MIN_ARCS
         if plan.slices is None:
             return
         # The fix-up buffers, so a step allocates nothing.
@@ -370,34 +362,23 @@ class _Kernel:
         # its own vertices give them into one run of fix_sums.
         order = np.argsort(plan.fix_v, kind="stable")
         self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
-        blocks = _blocks(plan.slices, g.n, _BLOCK_VERTICES if self.fused_norm else g.n)
+        blocks = _blocks(plan.slices, g.n, _BLOCK_VERTICES if amplitudes.size >= _BLOCKED_MIN_ARCS else g.n)
         # Block views for both directions between the buffers.
         self.block_moves = (self._block_moves(blocks, self.x, self.spare),
                             self._block_moves(blocks, self.spare, self.x))
-        if self.fused_norm:
-            # The fix-ups inside their row's slice: the blocks' sums of
-            # squares count the slice values there, which the fix-ups replace.
-            row, v = np.divmod(plan.fix, g.n)
-            lo, hi = np.array([(lo, hi) for _, _, lo, hi in plan.slices]).T
-            self.fix_inside = plan.fix[(lo[row] <= v) & (v < hi[row])]
-            self.inside_vals = np.empty(self.fix_inside.size)
 
     def _block_moves(self, blocks: list, src: np.ndarray, dst: np.ndarray) -> list:
         """The views each block works on in a step from ``src`` to ``dst``:
         the source rows over the block and its halo, the part of ``sums``
         that holds their sums, where in it the sums of the block's fix-ups'
         vertices lie and the run of ``fix_sums`` they go to, and per slice
-        subtract its two operands, its output and, when the blocks sum the
-        norm's squares, that output cut into views of at most _DOT_CHUNK
-        elements."""
+        subtract its two operands and its output."""
         d, sums = self.plan.ports, self.sums
         rows, out = src.reshape(d, -1), dst.reshape(d, -1)
         bounds = np.searchsorted(self.fix_v, [(a, b) for _, _, a, b, _ in blocks])
-        chunk = _DOT_CHUNK if self.fused_norm else None
         return [
             (rows[:, s:e], sums[: e - s], self.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
-                (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1],
-                 [out[q, i : min(i + chunk, j1)] for i in range(j0, j1, chunk)] if chunk else [])
+                (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1])
                 for q, p, k, j0, j1 in moves
             ])
             for (s, e, _, _, moves), (lo, hi) in zip(blocks, bounds)
@@ -438,49 +419,33 @@ class _Kernel:
             self.coin()
             np.take(self.spare, plan.shift, out=x, mode="wrap")
             return
-        # The blocks also gather fix_sums.
-        squares = sum(_run_block(views, plan.scale) for views in self.block_moves[0])
+        for views in self.block_moves[0]:
+            _run_block(views, plan.scale)  # which also gathers fix_sums
         self.block_moves = self.block_moves[::-1]
         np.take(x, self.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
-        if self.fused_norm:
-            squares -= _sum_of_squares(np.take(self.spare, self.fix_inside, out=self.inside_vals, mode="wrap"))
-            # max() keeps a NaN; only roundoff on a vanished state is negative.
-            self.squares = max(squares + _sum_of_squares(self.fix_vals), 0.0)
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
         self.spare[self.fix] = self.fix_vals
         self.x, self.spare = self.spare, x
 
     def norm(self) -> float:
-        if self.fused_norm:
-            return math.sqrt(self.squares)
         return math.sqrt(float(np.dot(self.x, self.x)))
 
     def mass(self) -> float:
         return _mass(self.x, self.arcs)
 
 
-def _run_block(views: tuple, scale: float) -> float:
+def _run_block(views: tuple, scale: float) -> None:
     """One block of the sliced step: the scaled coin sums over the block
     and its halo, the sums its fix-ups read gathered out, then every row's
-    slice subtract while the block is in cache.  Returns the sum of squares
-    of the values written that its chunks cover (0 when it has none)."""
+    slice subtract while the block is in cache."""
     rows, sums, fix_at, fix_sums, moves = views
     _port_sums(rows, sums)
     np.multiply(sums, scale, out=sums)
     np.take(sums, fix_at, out=fix_sums, mode="wrap")
-    squares = 0.0
-    for sums_part, rows_part, out, chunks in moves:
+    for sums_part, rows_part, out in moves:
         np.subtract(sums_part, rows_part, out=out)
-        for chunk in chunks:
-            squares += float(np.dot(chunk, chunk))
-    return squares
-
-
-def _sum_of_squares(a: np.ndarray) -> float:
-    """The sum of squares of a 1-D array, in dots of at most _DOT_CHUNK elements."""
-    return sum(float(np.dot(c, c)) for c in (a[i : i + _DOT_CHUNK] for i in range(0, a.size, _DOT_CHUNK)))
 
 
 def _mass(amps: np.ndarray, idx: np.ndarray) -> float:

@@ -107,6 +107,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="takes keys"):
             load_config(path)
 
+    def test_edge_list_takes_no_other_keys(self, tmp_path, capsys):
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        cfg = write_config(tmp_path / "c.json", {
+            "graph": {"edge_list": "c5.txt", "n": 99, "rows": 3},
+            "marked": {"vertices": [3, 4]},
+            "t_max": 10,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: graph with an edge_list: unknown keys ['n', 'rows']\n"
+
     def test_bad_assignment_value(self, tmp_path):
         path = write_config(tmp_path / "c.json", {
             "graph": {"family": "cycle", "n": 5},
@@ -612,9 +622,78 @@ class TestCli:
         assert captured.out == ""
         self.assert_one_out_of_memory_line(captured.err)
 
+    # Beyond int64, so numpy cannot take it as an array length at all.
+    OVERSIZED_N = 99999999999999999999999
+
+    @pytest.mark.parametrize("command", ["run", "solve", "verify"])
+    def test_edge_list_vertex_count_beyond_int64_is_exit_1(self, tmp_path, capsys, command):
+        big = tmp_path / "big.txt"
+        big.write_text(f"{self.OVERSIZED_N} 0\n")
+        (tmp_path / "s.txt").write_text("0 0 1.0\n")
+        cfg = write_config(tmp_path / "big.json", {"graph": {"edge_list": "big.txt"}, "marked": {"vertices": [0, 1]}})
+        argv = {
+            "run": ["run", str(cfg), "--out-dir", str(tmp_path / "o")],
+            "solve": ["solve", str(big), "0,1"],
+            "verify": ["verify", str(big), "0,1", str(tmp_path / "s.txt")],
+        }[command]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {big}:1: vertex count {self.OVERSIZED_N} is above the int64 maximum\n"
+
+    @pytest.mark.parametrize("graph, n", [
+        ({"family": "random_regular", "n": 10**20, "d": 3, "seed": 1}, 10**20),
+        ({"family": "cycle", "n": 2**63}, 2**63),
+        ({"family": "complete", "n": 2**63}, 2**63),
+        ({"family": "torus2d", "rows": 2**62, "cols": 3}, 3 * 2**62),
+    ], ids=["random_regular", "cycle", "complete", "torus2d"])
+    def test_family_vertex_count_beyond_int64_is_exit_1(self, tmp_path, capsys, graph, n):
+        cfg = write_config(tmp_path / "big.json", {"graph": graph, "marked": {"vertices": [0, 1]}})
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: vertex count {n} is above the int64 maximum\n"
+
+    def test_sweep_reports_vertex_counts_beyond_int64_and_runs_the_rest(self, tmp_path, capsys):
+        (tmp_path / "big.txt").write_text(f"{self.OVERSIZED_N} 0\n")
+        write_config(tmp_path / "big.json", {"graph": {"edge_list": "big.txt"}, "marked": {"vertices": [0, 1]}})
+        write_config(tmp_path / "rr.json", {
+            "graph": {"family": "random_regular", "n": 10**20, "d": 3, "seed": 1},
+            "marked": {"vertices": [0, 1]},
+        })
+        fig_cycle_config(tmp_path)
+        assert main(["sweep", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        table = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in table[1:]] == ["big.json", "cycle.json", "rr.json"]
+        assert "error(1): " in table[1] and "is above the int64 maximum" in table[1]
+        assert table[2].endswith(" ok")
+        assert "error(1): vertex count" in table[3]
+
+    def test_assignment_override_is_relative_to_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "cfgdir").mkdir()
+        fig_cycle_config(tmp_path / "cfgdir")
+        (tmp_path / "asg.txt").write_text(format_assignment({(3, 4): -1.0}, 1 / np.sqrt(10)))
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "cfgdir/cycle.json", "--assignment", "asg.txt", "--out-dir", "o"])
+        assert capsys.readouterr().err == "" and code == EXIT_OK
+        assert json.loads((tmp_path / "o" / "cycle.json").read_text())["assignment_source"] == "injected"
+
+    def test_sweep_of_a_directory_without_configs_is_exit_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not a config\n")
+        assert main(["sweep", str(empty), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: no *.json configs in {empty}\n"
+
     def test_usage_error_is_exit_1(self):
         assert main(["run"]) == EXIT_INPUT_ERROR
         assert main(["frobnicate"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [[], ["run"], ["solve", "g.txt", "-3,4"], ["sweep", "--t-max", "x", "d"]])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("qwsearch")
+        assert ": error: " in captured.err
 
     def test_solve_prints_assignment(self, tmp_path, capsys):
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")

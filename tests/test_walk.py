@@ -355,8 +355,7 @@ BLOCK_CASES = {
 @pytest.fixture
 def blocked(monkeypatch):
     """Slice every port-major plan and, once the one-block step has run,
-    lower the floor, block and dot sizes so small graphs take several
-    blocks that sum the norm's squares."""
+    lower the floor and block size so small graphs take several blocks."""
     monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
 
     def use(name):
@@ -369,7 +368,6 @@ def blocked(monkeypatch):
         whole = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: whole_seen.append(p))
         monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", 1)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", block)
-        monkeypatch.setattr(walk, "_DOT_CHUNK", 3)  # several dots per slice subtract
         return g, amps, marked, whole_seen, whole.amplitudes
 
     return use
@@ -388,12 +386,15 @@ class TestBlockedStep:
         assert out.amplitudes.tobytes() == ref_amps.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-    def test_norm_matches_a_dot_of_the_state(self, blocked, name):
+    def test_norm_matches_a_dot_of_the_state(self, blocked, monkeypatch, name):
         g, amps, marked, *_ = blocked(name)
-        kernel = _Kernel(g, amps, walk._marked_arc_indices(g, marked))
-        for _ in range(20):
-            kernel.step()
-            assert kernel.norm() == pytest.approx(math.sqrt(np.dot(kernel.x, kernel.x)), abs=1e-14)
+        for floor in (1, g.arc_count + 1):  # several blocks, then one block
+            monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", floor)
+            kernel = _Kernel(g, amps, walk._marked_arc_indices(g, marked))
+            assert (len(kernel.block_moves[0]) > 1) == (floor == 1)
+            for _ in range(20):
+                kernel.step()
+                assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
 
     def test_blocks_cover_the_vertices_and_read_within_their_halo(self, monkeypatch):
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
@@ -417,10 +418,9 @@ class TestBlockedStep:
         amps = random_unit_state_vector(np.random.default_rng(5), g.arc_count)
         kernel = _Kernel(g, amps, walk._marked_arc_indices(g, [0, 1, 17]))
         for views in kernel.block_moves:
-            [(rows, sums, _, _, moves)] = views  # exactly one block
+            [(rows, sums, _, _, _)] = views  # exactly one block
             assert rows.shape == (4, g.n) and sums.size == g.n  # over vertices 0..n
             assert np.shares_memory(sums, kernel.sums)
-            assert [chunks for *_, chunks in moves] == [[]] * 4  # no dot chunks
         for _ in range(5):
             kernel.step()
             assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
