@@ -8,18 +8,20 @@ Subcommands::
     qwsearch verify <graph.txt> <marked> <snapshot.txt>   # prints residuals
 
 ``<marked>`` is a comma-separated vertex list with no empty entries,
-e.g. "3,4".  --t-max is at most 10^6.  --assignment FILE is read from
-the working directory.  QWALK_THREADS caps sweep workers, and a sweep
-given no *.json config exits 1.  Exit statuses: 0 ok, 1 input error (a
-graph too large to allocate, a vertex count above the int64 maximum and
-a --t-max above 10^6 included), 2 infeasible stationary request (no
-stationary state, or a zero one), 3 dominance/stationarity check failed
-or the walk's norm drifted.
+e.g. "3,4"; a list starting with "-" is still the list.  --t-max is at
+most 10^6.  --assignment FILE is read from the working directory.
+QWALK_THREADS caps sweep workers, and a sweep given no *.json config
+exits 1.  Exit statuses: 0 ok, 1 input error (a graph too large to
+allocate, a vertex count above the int64 maximum and a --t-max above
+10^6 included), 2 infeasible stationary request (no stationary state, or
+a zero one), 3 dominance/stationarity check failed or the walk's norm
+drifted.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +48,12 @@ def _parse_marked(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A marked list such as "-3,4" is a value, as argparse already takes
+        # "-3" to be, not an unknown option: so a bad vertex is named.
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message):
         # One line, like every other input error: no usage block before it.
         self.exit(experiments.EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -152,11 +153,21 @@ def _as_name(value, where: str) -> str:
 
 
 def _as_int(value, where: str) -> int:
-    """A JSON integer; bool (an int subclass) and floats (which int() would
-    truncate) are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
-    return value
+    """An integer, from JSON or a caller; bool (an int subclass), floats
+    (which int() would truncate) and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value, default=repr)}")
+    return int(value)
+
+
+def _as_t_max(value, where: str) -> int:
+    """A step count in 0..T_MAX_LIMIT."""
+    t_max = _as_int(value, where)
+    if t_max < 0:
+        raise ValueError(f"{where} must be nonnegative, got {t_max}")
+    if t_max > T_MAX_LIMIT:
+        raise ValueError(f"{where} must be at most {T_MAX_LIMIT}, got {t_max}")
+    return t_max
 
 
 def _parse_graph_spec(obj) -> GraphSpec:
@@ -241,11 +252,7 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: missing required key {required!r}")
     t_max = obj.get("t_max")
     if t_max is not None:
-        t_max = _as_int(t_max, f"{path}: t_max")
-        if t_max < 0:
-            raise ValueError(f"{path}: t_max must be nonnegative, got {t_max}")
-        if t_max > T_MAX_LIMIT:
-            raise ValueError(f"{path}: t_max must be at most {T_MAX_LIMIT}, got {t_max}")
+        t_max = _as_t_max(t_max, f"{path}: t_max")
     assignment = obj.get("assignment", "min_norm")
     if assignment == "min_norm":
         assignment_file = None
@@ -487,19 +494,16 @@ def execute(config_path, out_dir, *, t_max=None, seed=None, assignment=None) -> 
 
 def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=None) -> ExperimentConfig:
     if t_max is not None:
-        if t_max < 0:
-            raise ValueError(f"t_max must be nonnegative, got {t_max}")
-        if t_max > T_MAX_LIMIT:
-            raise ValueError(f"t_max must be at most {T_MAX_LIMIT}, got {t_max}")
-        cfg = replace(cfg, t_max=int(t_max))
+        cfg = replace(cfg, t_max=_as_t_max(t_max, "t_max"))
     if seed is not None:
+        seed = _as_int(seed, "seed")
         graph = cfg.graph
         if graph.family == "random_regular":
-            graph = replace(graph, params={**graph.params, "seed": int(seed)})
+            graph = replace(graph, params={**graph.params, "seed": seed})
             cfg = replace(cfg, graph=graph)
         if cfg.marked.kind == "pairs":
             payload = dict(cfg.marked.payload)
-            payload["seed"] = int(seed)
+            payload["seed"] = seed
             cfg = replace(cfg, marked=MarkedSpec("pairs", payload))
     if assignment is not None:
         # Unlike the config's own assignment.file, not relative to the config.

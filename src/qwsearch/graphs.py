@@ -360,7 +360,7 @@ def marked_components(g: Graph, marked: Iterable[int]) -> list[MarkedComponent]:
     no odd cycle.
     """
     marked_set = {int(v) for v in marked}
-    for v in marked_set:
+    for v in sorted(marked_set):
         if not 0 <= v < g.n:
             raise ValueError(f"marked vertex {v} out of range for n={g.n}")
     components: list[MarkedComponent] = []

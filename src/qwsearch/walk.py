@@ -28,9 +28,10 @@ to each other and to the step as written above.
 The sliced step runs those row slices in blocks of vertices: each block
 computes its own coin sums plus a halo of up to max|k| vertices (the
 largest vertex offset a slice reads) and subtracts while the block is in
-cache.  One block covers every vertex below _BLOCKED_MIN_ARCS arcs, where
-the state fits in L2; larger states take cache-sized blocks.  The
-amplitudes are the same bits however the vertices are blocked.
+cache.  A graph of n vertices takes ceil(n / _BLOCK_VERTICES) blocks of
+near-equal width, so one block covers every graph of up to 2^15
+vertices.  The amplitudes are the same bits however the vertices are
+blocked.
 
 ``evolve``'s norm guard is one dot of the whole state after every step,
 on every plan.  numpy hands a dot of more than 10,000 elements to BLAS,
@@ -152,23 +153,20 @@ _PORT_MAJOR_MAX_DEGREE = 8
 # all fix-ups (twice the gather step's time) and never qualify.
 _SLICE_MAX_FIX_FRACTION = 0.25
 
-# Fewest arcs for which a sliced plan's step runs in blocks of
-# _BLOCK_VERTICES vertices (see _Kernel); below it one block covers every
-# vertex.  Either way the norm is one dot of the whole state.  Per step,
-# that dot included, cache-sized blocks against one block on 4-regular
-# tori (one thread on a 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4,
-# OpenBLAS pinned to one thread; medians and quartiles of 9 interleaved
-# rounds): 1.05 [0.97, 1.19] of its time at 2^17 arcs, 0.92 [0.87, 1.00]
-# at 2^18, whose 2 MB state fits in L2, 0.75 [0.72, 0.78] at 2^19 and
-# 0.72 [0.70, 0.72] at 2^20.  The gain is inside the noise below 2^19,
-# so the floor is 2^19.
-_BLOCKED_MIN_ARCS = 1 << 19
-
-# Vertices per block of the sliced step at and above _BLOCKED_MIN_ARCS.
-# A block of a 4-regular torus reads 1 MB of the state and writes 1 MB.
-# On the same host at 2^20 arcs, blocks of 2^13, 2^14, 2^15 and 2^16
-# vertices gave median steps of 4.0, 3.6, 3.4 and 3.9 ms (7 interleaved
-# rounds).
+# Most vertices in a block of the sliced step: a graph of n vertices takes
+# ceil(n / _BLOCK_VERTICES) blocks whose widths differ by at most one (see
+# _blocks), so a graph of up to 2^15 vertices is one block.  A full block
+# of a 4-regular torus reads 1 MB of the state and writes 1 MB.  Per step
+# against one block (one thread on a 2-vCPU Xeon with 2 MB of L2 per core,
+# OpenBLAS pinned to one thread, medians of 11-25 interleaved rounds):
+# 0.88-0.92 on the 256x256 torus, 0.73 on 512x512, 0.95-0.96 on 200x200
+# and 0.81-0.90 on cycle(40000).  The 182x181 torus (32,942 vertices) read
+# 0.99-1.08, inside the noise: one block read 0.98-1.07 against itself at
+# 181x181.  Blocks of exactly 2^15 vertices leave a runt last block: 0.98
+# on cycle(40000) and 0.97-1.05 on the 200x200 torus.  At 2^18 vertices,
+# blocks of at most 2^13, 2^14, 2^15 and 2^16 vertices took 2.04, 1.98,
+# 2.02 and 2.12 ms per torus step and 1.03, 0.93, 0.93 and 1.03 ms per
+# cycle step.
 _BLOCK_VERTICES = 1 << 15
 
 
@@ -275,16 +273,17 @@ def _slice_fields(shift: np.ndarray) -> dict:
     return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
 
 
-def _blocks(slices, n: int, width: int) -> list[tuple]:
-    """Split vertices 0..n-1 into contiguous blocks of at most ``width``
-    vertices.  Each block is ``(s, e, a, b, moves)``: it owns vertices
-    ``a:b``, its slice subtracts read the coin sums of ``s:e`` (the block
-    and its halo of up to max|k| vertices), and ``moves`` holds
-    ``(q, p, k, j0, j1)`` for each row q whose slice meets it, clipped to
-    positions ``j0:j1``."""
+def _blocks(slices, n: int) -> list[tuple]:
+    """Split vertices 0..n-1 into ceil(n / _BLOCK_VERTICES) contiguous
+    blocks whose widths differ by at most one.  Each block is
+    ``(s, e, a, b, moves)``: it owns vertices ``a:b``, its slice subtracts
+    read the coin sums of ``s:e`` (the block and its halo of up to max|k|
+    vertices), and ``moves`` holds ``(q, p, k, j0, j1)`` for each row q
+    whose slice meets it, clipped to positions ``j0:j1``."""
+    count = -(-n // _BLOCK_VERTICES)
     blocks = []
-    for a in range(0, n, width):
-        b = min(a + width, n)
+    for i in range(count):
+        a, b = n * i // count, n * (i + 1) // count
         s, e, moves = a, b, []
         for q, (p, k, lo, hi) in enumerate(slices):
             j0, j1 = max(a, lo), min(b, hi)
@@ -320,11 +319,11 @@ class _Kernel:
     write the coin's image to ``spare`` and gather it back into ``x``
     through ``shift``.
 
-    Below _BLOCKED_MIN_ARCS arcs one block covers all n vertices; at and
-    above it the blocks have _BLOCK_VERTICES vertices.  ``coin`` alone,
-    which ``apply_coin`` runs, sums every vertex at once.  On every plan
-    ``norm`` is one dot of the whole state; pin BLAS to one thread for it,
-    as the benchmark does (see the module docstring).
+    The n vertices split into ceil(n / _BLOCK_VERTICES) blocks of
+    near-equal width, so up to 2^15 vertices one block covers them all.
+    ``coin`` alone, which ``apply_coin`` runs, sums every vertex at once.
+    On every plan ``norm`` is one dot of the whole state; pin BLAS to one
+    thread for it, as the benchmark does (see the module docstring).
 
     The blocks run on the calling thread.  Shared between two threads, they
     ran 200 steps of a 512x512 torus in 0.47-0.69 s against 0.73-0.84 s on
@@ -362,7 +361,7 @@ class _Kernel:
         # its own vertices give them into one run of fix_sums.
         order = np.argsort(plan.fix_v, kind="stable")
         self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
-        blocks = _blocks(plan.slices, g.n, _BLOCK_VERTICES if amplitudes.size >= _BLOCKED_MIN_ARCS else g.n)
+        blocks = _blocks(plan.slices, g.n)
         # Block views for both directions between the buffers.
         self.block_moves = (self._block_moves(blocks, self.x, self.spare),
                             self._block_moves(blocks, self.spare, self.x))

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -9,11 +10,13 @@ from qwsearch import (
     StationarityCheck,
     build_graph,
     cycle_graph,
+    initial_state,
     marked_components,
     merged_coefficients,
     normalization_scale,
     solve_min_norm,
     write_edge_list,
+    write_state_snapshot,
 )
 from qwsearch import experiments, walk
 from qwsearch.cli import main
@@ -344,6 +347,25 @@ class TestRun:
         out = execute(cfg, tmp_path / "out", t_max=12)
         assert out.report["t_max"] == 12
         assert len(out.csv_path.read_text().splitlines()) == 14
+        assert execute(cfg, tmp_path / "out", t_max=np.int64(7)).report["t_max"] == 7
+
+    @pytest.mark.parametrize("override, message", [
+        ({"t_max": 2.5}, "t_max must be an integer, got 2.5"),
+        ({"t_max": True}, "t_max must be an integer, got true"),
+        ({"t_max": "5"}, 't_max must be an integer, got "5"'),
+        ({"t_max": -1}, "t_max must be nonnegative, got -1"),
+        ({"t_max": Fraction(5, 2)}, 't_max must be an integer, got "Fraction(5, 2)"'),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ], ids=["float_t_max", "bool_t_max", "str_t_max", "negative_t_max", "fraction_t_max", "float_seed"])
+    def test_bad_override_is_exit_1_with_one_line(self, tmp_path, override, message):
+        cfg = write_config(tmp_path / "pairs.json", {
+            "graph": {"family": "cycle", "n": 8},
+            "marked": {"pairs": {"k": 1, "seed": 5}},  # so the seed override is used
+            "t_max": 5,
+        })
+        out = execute(cfg, tmp_path / "out", **override)
+        assert (out.exit_code, out.report, out.message) == (EXIT_INPUT_ERROR, None, message)
+        assert not (tmp_path / "out").exists()
 
     def test_empty_marked_set_passes(self, tmp_path):
         cfg = write_config(tmp_path / "none.json", {
@@ -495,7 +517,6 @@ class TestNormDrift:
         assert rows[1]["status"] == "ok"
 
     def test_blocked_step_takes_the_same_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", 1)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", 8)
         real, blocks_run = walk._run_block, []
         monkeypatch.setattr(walk, "_run_block", lambda views, scale: blocks_run.append(1) or real(views, scale))
@@ -688,7 +709,7 @@ class TestCli:
         assert main(["run"]) == EXIT_INPUT_ERROR
         assert main(["frobnicate"]) == EXIT_INPUT_ERROR
 
-    @pytest.mark.parametrize("argv", [[], ["run"], ["solve", "g.txt", "-3,4"], ["sweep", "--t-max", "x", "d"]])
+    @pytest.mark.parametrize("argv", [[], ["run"], ["solve", "g.txt", "-x,4"], ["sweep", "--t-max", "x", "d"]])
     def test_usage_error_is_one_line(self, capsys, argv):
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
@@ -766,6 +787,18 @@ class TestCli:
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
         assert main(["solve", str(tmp_path / "c5.txt"), "3,x"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: marked list '3,x': bad integer 'x'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "c4.txt", "-3,4"],
+        ["solve", "c4.txt", "--", "-3,4"],
+        ["verify", "c4.txt", "-3,4", "s.txt"],
+    ], ids=["solve", "solve_after_dashes", "verify"])
+    def test_marked_list_with_a_leading_minus_names_the_lowest_bad_vertex(self, tmp_path, capsys, argv):
+        g = cycle_graph(4)
+        write_edge_list(g, tmp_path / "c4.txt")
+        write_state_snapshot(initial_state(g), tmp_path / "s.txt")
+        assert main([str(tmp_path / a) if a.endswith(".txt") else a for a in argv]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: marked vertex -3 out of range for n=4\n"
 
     @pytest.mark.parametrize("marked", ["0,,1", "0,1,", ",0", "0, ,1"])
     def test_empty_marked_vertex_is_exit_1(self, tmp_path, capsys, marked):

@@ -343,8 +343,8 @@ def test_row_slices_match_reference_however_many_fix_ups(name, monkeypatch):
 # Blocked-step cases: (graph, block vertices, marked vertices).
 BLOCK_CASES = {
     # rows != cols and an odd vertex count; each marked pair of neighbours
-    # straddles a block boundary.
-    "torus7x9": (lambda: torus2d_graph(7, 9), 8, [15, 16, 31, 32, 47, 48]),
+    # straddles a block boundary (the 8 blocks start at 0, 7, 15, ..., 55).
+    "torus7x9": (lambda: torus2d_graph(7, 9), 8, [14, 15, 30, 31, 46, 47]),
     # Blocks of 5 vertices with a halo of 13 (max|k| = cols): every block
     # reads sums past its neighbouring blocks on both sides.
     "torus6x13_halo_over_blocks": (lambda: torus2d_graph(6, 13), 5, [0, 38, 39]),
@@ -355,7 +355,7 @@ BLOCK_CASES = {
 @pytest.fixture
 def blocked(monkeypatch):
     """Slice every port-major plan and, once the one-block step has run,
-    lower the floor and block size so small graphs take several blocks."""
+    lower the block width so small graphs take several blocks."""
     monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
 
     def use(name):
@@ -366,7 +366,6 @@ def blocked(monkeypatch):
         amps = random_unit_state_vector(rng, g.arc_count)
         whole_seen = []
         whole = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: whole_seen.append(p))
-        monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", 1)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", block)
         return g, amps, marked, whole_seen, whole.amplitudes
 
@@ -388,33 +387,34 @@ class TestBlockedStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_norm_matches_a_dot_of_the_state(self, blocked, monkeypatch, name):
         g, amps, marked, *_ = blocked(name)
-        for floor in (1, g.arc_count + 1):  # several blocks, then one block
-            monkeypatch.setattr(walk, "_BLOCKED_MIN_ARCS", floor)
+        for width in (BLOCK_CASES[name][1], g.n):  # several blocks, then one block
+            monkeypatch.setattr(walk, "_BLOCK_VERTICES", width)
             kernel = _Kernel(g, amps, walk._marked_arc_indices(g, marked))
-            assert (len(kernel.block_moves[0]) > 1) == (floor == 1)
+            assert (len(kernel.block_moves[0]) > 1) == (width < g.n)
             for _ in range(20):
                 kernel.step()
                 assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
 
     def test_blocks_cover_the_vertices_and_read_within_their_halo(self, monkeypatch):
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
+        monkeypatch.setattr(walk, "_BLOCK_VERTICES", 5)
         g = torus2d_graph(6, 13)
         slices = _coin_plan(g).slices
         halo = max(abs(k) for _, k, _, _ in slices)
-        width = 5
-        blocks = walk._blocks(slices, g.n, width)
+        blocks = walk._blocks(slices, g.n)
         owned = [(a, b) for _, _, a, b, _ in blocks]
         assert owned[0][0] == 0 and owned[-1][1] == g.n
         assert all(b0 == a1 for (_, b0), (a1, _) in zip(owned, owned[1:]))
+        assert len(blocks) == 16  # ceil(78 / 5), widths 4 and 5: no runt
+        assert {b - a for a, b in owned} == {4, 5}
         for s, e, a, b, moves in blocks:
-            assert 0 < b - a <= width
             assert max(0, a - halo) <= s <= a and b <= e <= min(g.n, b + halo)
             for q, p, k, j0, j1 in moves:
                 assert a <= j0 < j1 <= b and s <= j0 + k and j1 + k <= e
 
-    def test_one_block_below_the_floor_and_the_norm_from_one_dot(self):
+    def test_one_block_up_to_the_block_width_and_the_norm_from_one_dot(self):
         g = torus2d_graph(16, 16)
-        assert g.arc_count < walk._BLOCKED_MIN_ARCS
+        assert g.n <= walk._BLOCK_VERTICES
         amps = random_unit_state_vector(np.random.default_rng(5), g.arc_count)
         kernel = _Kernel(g, amps, walk._marked_arc_indices(g, [0, 1, 17]))
         for views in kernel.block_moves:
@@ -424,6 +424,30 @@ class TestBlockedStep:
         for _ in range(5):
             kernel.step()
             assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
+
+    @pytest.mark.parametrize("build, widths", [
+        (lambda: torus2d_graph(128, 128), [16384]),
+        (lambda: torus2d_graph(256, 256), [32768, 32768]),
+        (lambda: cycle_graph(40000), [20000, 20000]),
+        (lambda: torus2d_graph(182, 181), [16471, 16471]),  # 32,942 vertices: no runt block
+    ], ids=["torus128", "torus256", "cycle40000", "torus182x181"])
+    def test_block_widths_at_the_real_block_size(self, build, widths):
+        g = build()
+        plan = _coin_plan(g)
+        assert plan.slices is not None
+        assert [b - a for _, _, a, b, _ in walk._blocks(plan.slices, g.n)] == widths
+        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+        assert [len(views) for views in kernel.block_moves] == [len(widths)] * 2
+
+    def test_two_blocks_of_a_256x256_torus_match_the_reference(self):
+        g = torus2d_graph(256, 256)
+        amps = random_unit_state_vector(np.random.default_rng(9), g.arc_count)
+        marked = [0, 1, 32640, 32896]  # 32640 and 32896 are neighbours across the block boundary
+        seen = []
+        out = evolve(WalkState(amps, g), marked, 5, observer=lambda t, p: seen.append(p))
+        ref_seen, ref_amps = reference_evolve(g, amps, marked, 5)
+        assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+        assert out.amplitudes.tobytes() == ref_amps.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_step_and_apply_coin_match_the_reference(self, blocked, name):
