@@ -24,10 +24,11 @@ File names (``edge_list``, ``file``, ``csv``, ``report``) must be
 non-empty strings.  The CSV and report names must differ and be plain file
 names, with no directory part, so both land in the output directory.
 
-An edge-list graph takes no other key.  Relative input paths are
-resolved against the config file's directory; an assignment file given
-to :func:`execute` (the CLI's ``--assignment``) against the working
-directory.  The block pattern addresses torus2d graphs row-major, so it
+A family's config keys are exactly its generator's parameters in
+``graphs``, checked in that order.  An edge-list graph takes no other
+key.  Relative input paths are resolved against the config file's
+directory; an assignment file given to :func:`execute` (the CLI's
+``--assignment``) against the working directory.  The block pattern addresses torus2d graphs row-major, so it
 is only valid with the torus2d family, and may not be taller or wider
 than the torus.
 The pairs pattern marks k pairwise non-adjacent adjacent-vertex pairs,
@@ -47,6 +48,7 @@ library (``walk.evolve``), as acceptance criterion 9 does.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -59,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .graphs import Graph, _parse_int, generate, marked_components, read_edge_list
+from .graphs import _FAMILIES, Graph, _parse_int, generate, marked_components, read_edge_list
 from .stationary import (
     CONSTRAINT_TOL,
     RESIDUAL_LIMIT,
@@ -105,12 +107,8 @@ DOMINANCE_SLACK = 1e-9
 # step's CSV row is held in memory until the run ends.
 T_MAX_LIMIT = 10**6
 
-_GRAPH_FAMILY_KEYS = {
-    "cycle": {"n"},
-    "torus2d": {"rows", "cols"},
-    "complete": {"n"},
-    "random_regular": {"n", "d", "seed"},
-}
+# Each family's config keys are its generator's parameters, in order.
+_GRAPH_FAMILY_KEYS = {family: tuple(inspect.signature(build).parameters) for family, build in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def _as_t_max(value, where: str) -> int:
 def _parse_graph_spec(obj) -> GraphSpec:
     if not isinstance(obj, dict):
         raise ValueError("'graph' must be an object")
-    _reject_unknown(obj, {"family", "n", "rows", "cols", "d", "seed", "edge_list"}, "graph")
+    _reject_unknown(obj, {"family", "edge_list"}.union(*_GRAPH_FAMILY_KEYS.values()), "graph")
     has_family = "family" in obj
     has_edge_list = "edge_list" in obj
     if has_family == has_edge_list:
@@ -186,7 +184,7 @@ def _parse_graph_spec(obj) -> GraphSpec:
         raise ValueError(f"graph: unknown family {family!r}")
     wanted = _GRAPH_FAMILY_KEYS[family]
     given = set(obj) - {"family"}
-    if given != wanted:
+    if given != set(wanted):
         raise ValueError(f"graph: family {family!r} takes keys {sorted(wanted)}, got {sorted(given)}")
     params = {k: _as_int(obj[k], f"graph.{k}") for k in wanted}
     return GraphSpec(family=family, params=params, edge_list=None)
@@ -507,7 +505,7 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
             cfg = replace(cfg, marked=MarkedSpec("pairs", payload))
     if assignment is not None:
         # Unlike the config's own assignment.file, not relative to the config.
-        cfg = replace(cfg, assignment_file=str(Path(assignment).absolute()))
+        cfg = replace(cfg, assignment_file=str(Path(_as_name(assignment, "assignment")).absolute()))
     return cfg
 
 
@@ -595,78 +593,49 @@ def format_sweep_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def _object_schema(**fields) -> dict:
+    """A JSON object schema that requires every field and allows no other."""
+    return {"type": "object", "additionalProperties": False, "required": list(fields), "properties": fields}
+
+
 # JSON schema for the run report (kept in sync with run_experiment).
-REPORT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "config", "graph", "marked", "t_max", "assignment_source", "scale",
-        "components", "stationarity", "bound_total", "p_initial",
-        "observed_max_p", "observed_argmax_t", "margin", "dominance", "checks_passed",
-    ],
-    "properties": {
-        "config": {"type": "string"},
-        "graph": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "m", "arc_count", "source"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 0},
-                "m": {"type": "integer", "minimum": 0},
-                "arc_count": {"type": "integer", "minimum": 0},
-                "source": {"type": "string"},
-            },
-        },
-        "marked": {"type": "array", "items": {"type": "integer"}},
-        "t_max": {"type": "integer", "minimum": 0},
-        "assignment_source": {"enum": ["min_norm", "injected"]},
-        "scale": {"type": "number"},
-        "components": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": [
-                    "vertices", "internal_edges", "internal_degrees", "outgoing_degrees",
-                    "total_outgoing", "bipartition", "exists_stationary",
-                    "coefficients", "sum_sq_directed", "bound",
-                ],
-                "properties": {
-                    "vertices": {"type": "array", "items": {"type": "integer"}},
-                    "internal_edges": {"type": "array"},
-                    "internal_degrees": {"type": "array"},
-                    "outgoing_degrees": {"type": "array"},
-                    "total_outgoing": {"type": "integer"},
-                    "bipartition": {"type": ["array", "null"]},
-                    "exists_stationary": {"type": "boolean"},
-                    "coefficients": {"type": "array"},
-                    "sum_sq_directed": {"type": "number"},
-                    "bound": {"type": "number"},
-                },
-            },
-        },
-        "stationarity": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "residual", "unmarked_amplitude_spread", "max_marked_vertex_sum",
-                "max_reverse_mismatch", "failed_conditions", "stationary_probability",
-            ],
-            "properties": {
-                "residual": {"type": "number"},
-                "unmarked_amplitude_spread": {"type": "number"},
-                "max_marked_vertex_sum": {"type": "number"},
-                "max_reverse_mismatch": {"type": "number"},
-                "failed_conditions": {"type": "array", "items": {"type": "string"}},
-                "stationary_probability": {"type": "number"},
-            },
-        },
-        "bound_total": {"type": "number"},
-        "p_initial": {"type": "number"},
-        "observed_max_p": {"type": "number"},
-        "observed_argmax_t": {"type": "integer"},
-        "margin": {"type": "number"},
-        "dominance": {"type": "boolean"},
-        "checks_passed": {"type": "boolean"},
-    },
-}
+REPORT_SCHEMA = _object_schema(
+    config={"type": "string"},
+    graph=_object_schema(
+        n={"type": "integer", "minimum": 0},
+        m={"type": "integer", "minimum": 0},
+        arc_count={"type": "integer", "minimum": 0},
+        source={"type": "string"},
+    ),
+    marked={"type": "array", "items": {"type": "integer"}},
+    t_max={"type": "integer", "minimum": 0},
+    assignment_source={"enum": ["min_norm", "injected"]},
+    scale={"type": "number"},
+    components={"type": "array", "items": _object_schema(
+        vertices={"type": "array", "items": {"type": "integer"}},
+        internal_edges={"type": "array"},
+        internal_degrees={"type": "array"},
+        outgoing_degrees={"type": "array"},
+        total_outgoing={"type": "integer"},
+        bipartition={"type": ["array", "null"]},
+        exists_stationary={"type": "boolean"},
+        coefficients={"type": "array"},
+        sum_sq_directed={"type": "number"},
+        bound={"type": "number"},
+    )},
+    stationarity=_object_schema(
+        residual={"type": "number"},
+        unmarked_amplitude_spread={"type": "number"},
+        max_marked_vertex_sum={"type": "number"},
+        max_reverse_mismatch={"type": "number"},
+        failed_conditions={"type": "array", "items": {"type": "string"}},
+        stationary_probability={"type": "number"},
+    ),
+    bound_total={"type": "number"},
+    p_initial={"type": "number"},
+    observed_max_p={"type": "number"},
+    observed_argmax_t={"type": "integer"},
+    margin={"type": "number"},
+    dominance={"type": "boolean"},
+    checks_passed={"type": "boolean"},
+)

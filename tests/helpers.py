@@ -3,7 +3,8 @@
 The dense matrices are built straight from the operator definitions and
 stay independent of the matrix-free code paths they check; the sphere
 search is independent of the closed-form farthest point it checks (the
-proof's device for the ceiling, kept here because only tests use it), and
+proof's device for the ceiling, kept here because only tests use it, as
+is the sphere ceiling it gives), and
 the plain-Python CSR builder (sorted adjacency lists, reverse arcs found
 through a dict) of the single sort ``build_graph`` takes its arrays from.
 The edge-list family builders, the pair-selection loop and the per-vertex
@@ -266,6 +267,22 @@ def squared_distance(x, a) -> float:
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     return float(np.sum((x - a) ** 2))
+
+
+def sphere_ceiling(assignments) -> float:
+    """The paper's second ceiling, ``a0^2 * (sqrt(S + D) + sqrt(S + 2D + 2E))^2``
+    with ``a0^2 = 1/(2m)`` and S, D and E summed over every component.
+
+    The unnormalised stationary state phi has ``a0`` on every arc and
+    ``c*a0`` on the internal marked arcs; the walk keeps the state on the
+    sphere of radius ``|psi0 - phi|`` around phi, so the marked probability
+    stays below ``(|P_M phi| + |psi0 - phi|)^2``.
+    """
+    comps = [a.component for a in assignments]
+    s = sum(a.sum_sq_directed for a in assignments)
+    d = sum(c.total_outgoing for c in comps)
+    e = sum(len(c.internal_edges) for c in comps)
+    return (math.sqrt(s + d) + math.sqrt(s + 2 * d + 2 * e)) ** 2 / (2.0 * comps[0].graph.edge_count)
 
 
 def farthest_point_on_sphere(a, r: float) -> np.ndarray:

@@ -41,6 +41,7 @@ from helpers import (
     max_marked_probability_oracle,
     random_simple_graph,
     random_unit_state_vector,
+    sphere_ceiling,
     squared_distance,
 )
 
@@ -131,13 +132,17 @@ def test_criterion_3_bound_dominance():
         n = g.n
         verts, _, _ = block_coefficients(16, 1, 1, 16, 16)
         (comp,) = marked_components(g, verts)
-        bound = component_bound(solve_min_norm(comp))
+        assignment = solve_min_norm(comp)
+        bound = component_bound(assignment)
         assert bound == pytest.approx(32.0 / n, rel=1e-12)
         observed = max_marked_probability_oracle(g, verts, 5000)
         assert observed <= bound + 1e-9
         assert observed <= 0.0625  # ample empirical margin on this configuration
-        print(f"  torus 16x16 block: observed {observed:.6f} <= bound {bound:.6f}"
-              f" (margin {bound - observed:.6f})")
+        sphere = sphere_ceiling([assignment])
+        assert observed <= sphere + 1e-9
+        assert sphere <= bound * (1 + 1e-12)
+        print(f"  torus 16x16 block: observed {observed:.6f} <= sphere {sphere:.6f}"
+              f" <= bound {bound:.6f} (margin {bound - observed:.6f})")
 
         # Randomized configurations: marked pairs, triangles, and 4-cycles
         # in random regular graphs.
@@ -169,6 +174,11 @@ def test_criterion_3_bound_dominance():
                 f"dominance violated: seed={seed} marked={marked} "
                 f"observed={observed} bound={report.total_bound}"
             )
+            sphere = sphere_ceiling(assignments)
+            assert observed <= sphere + 1e-9, (
+                f"sphere ceiling violated: seed={seed} marked={marked} observed={observed} sphere={sphere}"
+            )
+            assert sphere <= report.total_bound * (1 + 1e-12)
             checked += 1
         print(f"  {checked} randomized configurations dominated")
 

@@ -1,6 +1,11 @@
+import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -109,6 +114,19 @@ class TestConfigParsing:
         })
         with pytest.raises(ValueError, match="takes keys"):
             load_config(path)
+
+    def test_bad_family_parameter_is_named_in_generator_order(self, tmp_path):
+        # Checked in set order, the key named would depend on PYTHONHASHSEED.
+        cfg = write_config(tmp_path / "c.json", {
+            "graph": {"family": "torus2d", "rows": "a", "cols": "b"},
+            "marked": {"vertices": [1]},
+        })
+        src = str(Path(experiments.__file__).parents[1])
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "qwsearch.cli", "run", str(cfg), "--out-dir",
+                                   str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, 'error: graph.rows must be an integer, got "a"\n')
 
     def test_edge_list_takes_no_other_keys(self, tmp_path, capsys):
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
@@ -246,6 +264,25 @@ class TestRun:
         out = execute(fig_cycle_config(tmp_path), tmp_path / "out")
         jsonschema.validate(json.loads(out.json_path.read_text()), REPORT_SCHEMA)
 
+    @pytest.mark.parametrize("level", ["top", "graph", "component", "stationarity"])
+    def test_schema_requires_every_field_and_allows_no_other(self, tmp_path, level):
+        report = execute(fig_cycle_config(tmp_path), tmp_path / "out").report
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+        def part(r):
+            return {"top": r, "graph": r["graph"], "component": r["components"][0],
+                    "stationarity": r["stationarity"]}[level]
+
+        for field in part(report):
+            broken = copy.deepcopy(report)
+            del part(broken)[field]
+            with pytest.raises(jsonschema.ValidationError, match=f"'{field}' is a required property"):
+                jsonschema.validate(broken, REPORT_SCHEMA)
+        broken = copy.deepcopy(report)
+        part(broken)["unknown"] = 0
+        with pytest.raises(jsonschema.ValidationError, match="'unknown' was unexpected"):
+            jsonschema.validate(broken, REPORT_SCHEMA)
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "rr.json", {
             "graph": {"family": "random_regular", "n": 24, "d": 3, "seed": 9},
@@ -356,7 +393,10 @@ class TestRun:
         ({"t_max": -1}, "t_max must be nonnegative, got -1"),
         ({"t_max": Fraction(5, 2)}, 't_max must be an integer, got "Fraction(5, 2)"'),
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
-    ], ids=["float_t_max", "bool_t_max", "str_t_max", "negative_t_max", "fraction_t_max", "float_seed"])
+        ({"assignment": 5}, "assignment must be a non-empty string, got 5"),  # was a traceback from Path(5)
+        ({"assignment": ""}, 'assignment must be a non-empty string, got ""'),
+    ], ids=["float_t_max", "bool_t_max", "str_t_max", "negative_t_max", "fraction_t_max", "float_seed",
+            "int_assignment", "empty_assignment"])
     def test_bad_override_is_exit_1_with_one_line(self, tmp_path, override, message):
         cfg = write_config(tmp_path / "pairs.json", {
             "graph": {"family": "cycle", "n": 8},
@@ -782,6 +822,58 @@ class TestCli:
         }[reader]
         assert main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {bad_file}:{problem}\n"
+
+    TORUS = {"family": "torus2d", "rows": 4, "cols": 4}
+
+    @pytest.mark.parametrize("reader, bad, message", [
+        ("config", {"graph": 5, "marked": {"vertices": [1]}}, "'graph' must be an object"),
+        ("config", {"graph": TORUS, "marked": [1]}, "'marked' must be an object"),
+        ("config", {"graph": TORUS, "marked": {"vertices": 3}}, "marked.vertices must be a list of vertex ids"),
+        ("config", {"graph": TORUS, "marked": {"block": {"rows": 2}}}, "marked.block requires 'rows' and 'cols'"),
+        ("config", {"graph": TORUS, "marked": {"block": {"rows": 0, "cols": 2}}},
+         "marked.block dimensions must be positive"),
+        ("config", {"graph": TORUS, "marked": {"pairs": {"k": 1}}}, "marked.pairs requires 'k' and 'seed'"),
+        ("config", {"graph": TORUS, "marked": {"pairs": {"k": -1, "seed": 0}}}, "marked.pairs.k must be nonnegative"),
+        ("config", "not json", "{path}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("config", "[1, 2]", "{path}: config must be a JSON object"),
+        ("edge_list", "5\n", "{path}: first line must be 'n m'"),
+        ("snapshot", "0 0\n", "{path}:1: expected 'v c amplitude', got '0 0'"),
+        ("assignment", "3 4\na 0.3\n", "{path}:1: expected 'i j c', got '3 4'"),
+        ("assignment", "3 4 -1.0\na 0.3 0.4\n", "{path}:2: malformed or repeated scale line 'a 0.3 0.4'"),
+    ], ids=["graph_object", "marked_object", "vertices_list", "block_keys", "block_size", "pairs_keys",
+            "pairs_k", "invalid_json", "json_object", "edge_list_header", "snapshot_line", "assignment_line",
+            "assignment_scale"])
+    def test_input_error_is_exit_1_with_its_one_line(self, tmp_path, capsys, reader, bad, message):
+        c5 = tmp_path / "c5.txt"
+        write_edge_list(cycle_graph(5), c5)
+        bad_file = tmp_path / ("bad.json" if reader == "config" else "bad.txt")
+        if isinstance(bad, dict):
+            write_config(bad_file, bad)
+        else:
+            bad_file.write_text(bad)
+        out_dir = str(tmp_path / "o")
+        argv = {
+            "config": ["run", str(bad_file), "--out-dir", out_dir],
+            "edge_list": ["solve", str(bad_file), "3,4"],
+            "snapshot": ["verify", str(c5), "3,4", str(bad_file)],
+            "assignment": ["run", str(fig_cycle_config(tmp_path)), "--assignment", str(bad_file), "--out-dir", out_dir],
+        }[reader]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message.format(path=bad_file)}\n")
+
+    def test_isolated_marked_vertex_has_a_zero_ceiling(self, tmp_path, capsys):
+        write_edge_list(build_graph([(0, 1), (1, 2)], 4), tmp_path / "g.txt")
+        cfg = write_config(tmp_path / "iso.json", {
+            "graph": {"edge_list": "g.txt"},
+            "marked": {"vertices": [3]},  # degree 0
+            "t_max": 5,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "o" / "iso.json").read_text())
+        assert report["bound_total"] == 0.0 and report["observed_max_p"] == 0.0
+        assert report["components"][0]["coefficients"] == [] and report["checks_passed"] is True
 
     def test_bad_marked_vertex_is_named(self, tmp_path, capsys):
         write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
