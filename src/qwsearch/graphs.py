@@ -17,6 +17,7 @@ shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -434,6 +435,15 @@ def _parse_float(text: str, where: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"{where}: bad number {text!r}") from None
+
+
+def _parse_finite(text: str, what: str, where: str) -> float:
+    """:func:`_parse_float`, also failing with ``<where>: <what> '<text>' is
+    not finite`` on nan and inf: a NaN passes any ``> tol`` check later."""
+    value = _parse_float(text, where)
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {what} {text!r} is not finite")
+    return value
 
 
 def read_edge_list(path) -> Graph:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Graph, MarkedComponent, _parse_float, _parse_int
+from .graphs import Graph, MarkedComponent, _parse_finite, _parse_int
 from .walk import WalkState, step
 
 __all__ = [
@@ -157,7 +157,7 @@ def make_assignment(comp: MarkedComponent, coefficients: Mapping[tuple[int, int]
         totals[j] += c
     for v, total in totals.items():
         required = -comp.outgoing_degree[v]
-        if abs(total - required) > CONSTRAINT_TOL:
+        if not abs(total - required) <= CONSTRAINT_TOL:  # NaN fails too
             raise InfeasibleComponentError(
                 f"coefficient sum at vertex {v} is {total}, constraint requires {required}"
             )
@@ -325,14 +325,14 @@ def read_assignment_file(path) -> tuple[dict[tuple[int, int], float], float]:
         if parts[0] == "a":
             if len(parts) != 2 or scale is not None:
                 raise ValueError(f"{where}: malformed or repeated scale line {line!r}")
-            scale = _parse_float(parts[1], where)
+            scale = _parse_finite(parts[1], "scale", where)
             continue
         if len(parts) != 3:
             raise ValueError(f"{where}: expected 'i j c', got {line!r}")
         i, j = sorted((_parse_int(parts[0], where), _parse_int(parts[1], where)))
         if (i, j) in coefficients:
             raise ValueError(f"{where}: duplicate edge ({i}, {j})")
-        coefficients[(i, j)] = _parse_float(parts[2], where)
+        coefficients[(i, j)] = _parse_finite(parts[2], "coefficient", where)
     if scale is None:
         raise ValueError(f"{path}: missing trailing 'a <value>' line")
     return coefficients, scale

@@ -14,30 +14,21 @@ states and never mutate their input.
 The step is written once, in ``_Kernel``: ``evolve`` runs it in a loop,
 ``step`` runs it once and ``apply_coin`` runs its coin.  It works on two
 buffers allocated per call, laid out by a coin plan (``_CoinPlan``) that
-the walk builds on a graph's first walk and keeps on the graph for every
-later one.  On a d-regular graph with d <= 8 the plan is port-major: the
-state is a (d, n) array and the coin sums are d - 1 row adds.  Where the
-shift mostly moves whole rows, as on tori and cycles, the coin's subtract
-writes straight into the shifted positions, one row slice per port plus a
-small fix-up gather; elsewhere the coin's image is gathered through the
-shift.  Regular graphs with d > 8 and irregular graphs use the segment
-plan (np.add.reduceat over each vertex's arcs).  Every plan computes each
-amplitude by the same operations, so all give results bit for bit equal
-to each other and to the step as written above.
+the walk builds on a graph's first walk and keeps on the graph.  The
+layout groups the vertices by degree: each degree up to 8 is a
+port-major block whose coin sums are row adds, and the higher degrees
+share one np.add.reduceat segment.  The coin's image is gathered through
+the shift or, on a one-block plan whose shift mostly moves whole rows
+(tori, cycles), written straight to its shifted positions in row slices,
+a block of vertices at a time, plus a small fix-up gather.  Every layout
+computes each amplitude by the same operations, so all give results bit
+for bit equal to the step as written above.
 
-The sliced step runs those row slices in blocks of vertices: each block
-computes its own coin sums plus a halo of up to max|k| vertices (the
-largest vertex offset a slice reads) and subtracts while the block is in
-cache.  A graph of n vertices takes ceil(n / _BLOCK_VERTICES) blocks of
-near-equal width, so one block covers every graph of up to 2^15
-vertices.  The amplitudes are the same bits however the vertices are
-blocked.
-
-``evolve``'s norm guard is one dot of the whole state after every step,
-on every plan.  numpy hands a dot of more than 10,000 elements to BLAS,
-and OpenBLAS left at its default thread count runs it on threads of its
-own that spin on the other cores: pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1), as the benchmark harness does.
+``evolve``'s norm guard is one dot of the whole state after every step.
+numpy hands a dot of more than 10,000 elements to BLAS, and OpenBLAS left
+at its default thread count runs it on threads of its own that spin on
+the other cores: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1), as the
+benchmark harness does.
 """
 
 from __future__ import annotations
@@ -49,21 +40,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, _parse_float, _parse_int
+from .graphs import Graph, _parse_finite, _parse_int
 
 __all__ = [
-    "WalkState",
-    "NormDriftError",
-    "NORM_DRIFT_LIMIT",
-    "initial_state",
-    "apply_query",
-    "apply_coin",
-    "apply_shift",
-    "step",
-    "marked_probability",
-    "evolve",
-    "write_state_snapshot",
-    "read_state_snapshot",
+    "WalkState", "NormDriftError", "NORM_DRIFT_LIMIT", "initial_state", "apply_query", "apply_coin",
+    "apply_shift", "step", "marked_probability", "evolve", "write_state_snapshot", "read_state_snapshot",
 ]
 
 # Unit-norm drift beyond this aborts an evolution: orthogonal operators
@@ -136,21 +117,20 @@ def _page_placed(size: int, quarter: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-# Most ports a port-major coin plan handles.  A vertex's coin sum must
-# equal np.add.reduceat's, a0 + (((a1 + a2) + a3) + ...): numpy adds fewer
-# than 8 elements sequentially but sums 8 or more pairwise, so the row adds
-# of _port_sums reproduce it bit for bit only up to d = 8.
+# Largest degree with a port-major block.  A vertex's coin sum must equal
+# np.add.reduceat's, a0 + (((a1 + a2) + a3) + ...): numpy adds fewer than 8
+# elements sequentially but sums 8 or more pairwise, so the row adds of
+# _port_sums reproduce it bit for bit only up to d = 8.
 _PORT_MAJOR_MAX_DEGREE = 8
 
-# Most fix-ups, as a fraction of the arcs, for which a port-major plan
+# Most fix-ups, as a fraction of the arcs, for which a one-block plan
 # fuses the coin's subtract into the shift (see _CoinPlan).  A fix-up costs
 # two gathers and a scatter where a slice entry costs one streamed
 # subtract.  Per step on 4-regular tori of 2^16 arcs (one thread, 2-vCPU
 # Xeon, numpy 2.4), the fused step took 0.44-0.49 of the gather step's
-# time at 3-8% fix-ups, 0.75-0.84 at 16-21%, 0.93-0.95 at 31% and 1.1-1.8
-# at 42-67%; at 2^20 arcs, 0.56 at 31% and 1.55 at 63%.  The crossover is
-# near 1/3; 1/4 keeps a margin below it.  Random regular graphs are almost
-# all fix-ups (twice the gather step's time) and never qualify.
+# time at 3-8% fix-ups, 0.93-0.95 at 31% and 1.1-1.8 at 42-67%: the
+# crossover is near 1/3, and 1/4 keeps a margin below it.  Random regular
+# graphs are almost all fix-ups and never qualify.
 _SLICE_MAX_FIX_FRACTION = 0.25
 
 # Most vertices in a block of the sliced step: a graph of n vertices takes
@@ -158,15 +138,10 @@ _SLICE_MAX_FIX_FRACTION = 0.25
 # _blocks), so a graph of up to 2^15 vertices is one block.  A full block
 # of a 4-regular torus reads 1 MB of the state and writes 1 MB.  Per step
 # against one block (one thread on a 2-vCPU Xeon with 2 MB of L2 per core,
-# OpenBLAS pinned to one thread, medians of 11-25 interleaved rounds):
-# 0.88-0.92 on the 256x256 torus, 0.73 on 512x512, 0.95-0.96 on 200x200
-# and 0.81-0.90 on cycle(40000).  The 182x181 torus (32,942 vertices) read
-# 0.99-1.08, inside the noise: one block read 0.98-1.07 against itself at
-# 181x181.  Blocks of exactly 2^15 vertices leave a runt last block: 0.98
-# on cycle(40000) and 0.97-1.05 on the 200x200 torus.  At 2^18 vertices,
-# blocks of at most 2^13, 2^14, 2^15 and 2^16 vertices took 2.04, 1.98,
-# 2.02 and 2.12 ms per torus step and 1.03, 0.93, 0.93 and 1.03 ms per
-# cycle step.
+# OpenBLAS pinned): 0.88-0.92 on the 256x256 torus, 0.73 on 512x512 and
+# 0.81-0.90 on cycle(40000).  Blocks of exactly 2^15 vertices would leave a
+# runt last block, and blocks of 2^13 to 2^16 vertices took within 7% of
+# each other at 2^18 vertices (BENCH_blockwidth.json).
 _BLOCK_VERTICES = 1 << 15
 
 
@@ -174,38 +149,35 @@ _BLOCK_VERTICES = 1 << 15
 class _CoinPlan:
     """Arc layout and coin bookkeeping for the step kernel on one graph.
 
-    A port-major plan (``ports`` = d) serves graphs whose vertices all have
-    degree d, 1 <= d <= _PORT_MAJOR_MAX_DEGREE: the kernel holds the
-    amplitudes as a (d, n) array whose row p is port p of every vertex, so
-    the coin is d - 1 contiguous row adds and one broadcast subtract.
-    Every other graph gets a segment plan (``ports`` = 0): amplitudes stay
-    in global arc order, np.add.reduceat sums the non-isolated vertices'
-    segments and a rank gather broadcasts the sums back.
+    The vertices are grouped by degree.  Each degree d from 1 to
+    _PORT_MAJOR_MAX_DEGREE that occurs is a block ``(d, start, width)``:
+    positions ``start:start + d*width`` hold a (d, width) array whose row p
+    is port p of the block's vertices, ascending, so its coin sums are
+    d - 1 row adds.  The vertices of higher degree follow as one segment,
+    ascending with their arcs in port order, summed by np.add.reduceat.
+    Isolated vertices sit nowhere.  A d-regular graph is one block, its arc
+    v*d + c at c*n + v, and a complete graph on more than nine vertices is
+    one segment in arc order.
 
-    The shift maps each position of the plan's layout to the position of
-    its reverse arc.  Its range is checked when the plan is built, so the
-    kernel can gather with ``mode="wrap"`` and skip numpy's per-call bounds
-    check.
+    ``shift`` maps each position to the position of its reverse arc, range
+    checked at build so the kernel can gather with ``mode="wrap"``.  It is
+    the one plan array left writable: np.take copies a read-only index on
+    every call, 8 bytes per arc per step.
 
-    A port-major plan whose shift mostly moves whole rows carries
-    ``slices`` instead of ``shift``: for each destination row q, a tuple
-    ``(p, k, lo, hi)`` saying that positions ``lo:hi`` of row q read row p
-    at vertex offset k, so the kernel writes
-    ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight into them.  ``lo``
-    and ``hi - 1`` are the first and last positions that read (p, k).
-    Every other position, outside ``lo:hi`` or inside it but reading
-    elsewhere, is a fix-up: ``fix`` lists them in ascending order,
-    ``fix_src`` is the shift at ``fix`` and ``fix_v`` its vertex, and the
-    kernel writes ``sums[fix_v] - x[fix_src]`` to them after the slices.
-    Plans with more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups
-    keep ``slices`` None and gather with ``shift``.
+    A one-block plan whose shift mostly moves whole rows carries
+    ``slices`` instead: for each destination row q, ``(p, k, lo, hi)``
+    says that positions ``lo:hi`` of row q read row p at vertex offset k
+    (``lo`` and ``hi - 1`` do), so the kernel writes
+    ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight into them.  The
+    other positions are fix-ups, ascending in ``fix``, with the shift at
+    them in ``fix_src`` and its vertex in ``fix_v``: the kernel writes
+    ``sums[fix_v] - x[fix_src]`` to them after the slices.  Plans with
+    more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups gather.
     """
 
-    ports: int
+    blocks: tuple[tuple[int, int, int], ...]
+    segment: int  # the first position of the segment, past every block
     shift: np.ndarray | None  # None when the plan has slices
-    scale: float | np.ndarray  # 2/d, or 2/degree per non-isolated vertex
-    starts: np.ndarray | None = None  # segment plan: first arc of each non-isolated vertex
-    rank: np.ndarray | None = None  # segment plan: arc -> index into starts
     slices: tuple[tuple[int, int, int, int], ...] | None = None
     fix: np.ndarray | None = None
     fix_src: np.ndarray | None = None
@@ -213,37 +185,71 @@ class _CoinPlan:
 
     @classmethod
     def build(cls, g: Graph) -> "_CoinPlan":
-        n, degrees = g.n, g.degrees
-        d = int(degrees[0]) if n else 0
-        port_major = 1 <= d <= _PORT_MAJOR_MAX_DEGREE and bool(np.all(degrees == d))
-        if port_major:
-            # Arc v*d + p sits at position p*n + v.  Its reverse r = w*d + q,
-            # with w its target, sits at (r - w*d)*n + w = r*n - w*(d*n - 1).
-            shift = np.empty((d, n), dtype=np.int64)
-            np.multiply(g.reverse.reshape(n, d).T, n, out=shift)
-            shift -= g.targets.reshape(n, d).T * (d * n - 1)
-            shift = shift.reshape(-1)
-        else:
-            shift = g.reverse
+        counts = np.bincount(g.degrees, minlength=_PORT_MAJOR_MAX_DEGREE + 1)
+        blocks, start = [], 0
+        for d in range(1, _PORT_MAJOR_MAX_DEGREE + 1):
+            if counts[d]:
+                blocks.append((d, start, int(counts[d])))
+                start += d * int(counts[d])
+        plan = cls(tuple(blocks), start, None)
+        shift = _layout_shift(g, plan)
         if shift.size and not (shift.min() >= 0 and shift.max() < g.arc_count):
             raise ValueError("reverse-arc map points outside the arc range")
-        if port_major:
-            sliced = _slice_fields(shift.reshape(d, n))
-            plan = cls(d, None if sliced else shift, 2.0 / d, **sliced)
-        else:
-            # Degree-0 vertices own no arcs and must be skipped:
-            # np.add.reduceat cannot represent empty segments.
-            positive = degrees > 0
-            rank = np.cumsum(positive) - 1
-            plan = cls(0, shift, 2.0 / degrees[positive], starts=g.offsets[:-1][positive], rank=rank[g.arc_source])
-        for arr in (plan.shift, plan.scale, plan.starts, plan.rank, plan.fix, plan.fix_src, plan.fix_v):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        return plan
+        if len(blocks) == 1 and start == g.arc_count:
+            d, _, width = blocks[0]
+            sliced = _slice_fields(shift.reshape(d, width))
+            if sliced:
+                return cls(plan.blocks, start, None, **sliced)
+        return cls(plan.blocks, start, shift)
+
+
+def _runs(g: Graph, plan: _CoinPlan):
+    """``(start, arcs)`` for each run of ``plan``'s layout: ascending arcs
+    at positions ``start:start + arcs.size``.  A run is a block row or the
+    segment over at most _BLOCK_VERTICES vertices: whole rows' temporaries
+    left the heap 4.5 MB fuller at the peak of a 512x512 torus run."""
+    placed = dict.fromkeys(plan.blocks, 0)
+    segment = plan.segment
+    for v in range(0, g.n, _BLOCK_VERTICES):
+        degrees, offsets = g.degrees[v : v + _BLOCK_VERTICES], g.offsets[:-1][v : v + _BLOCK_VERTICES]
+        for block in plan.blocks:
+            d, start, width = block
+            first = offsets[degrees == d]
+            for p in range(d if first.size else 0):
+                yield start + p * width + placed[block], first + p
+            placed[block] += first.size
+        big = np.flatnonzero(degrees > _PORT_MAJOR_MAX_DEGREE)
+        if big.size:  # each big vertex's arcs, concatenated
+            lengths = degrees[big]
+            arcs = np.repeat(offsets[big] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+            yield segment, arcs
+            segment += arcs.size
+
+
+def _layout_shift(g: Graph, plan: _CoinPlan) -> np.ndarray:
+    """The position of each position's reverse arc in ``plan``'s layout,
+    a run at a time.  Arc r of w sits at ``r*stride[w] + base[w]``: stride[w]
+    is the width of w's block, or 1 in the segment, and base[w] the
+    position of w's port 0 less offsets[w]*stride[w]."""
+    base, stride = np.zeros(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)
+    for d, start, width in plan.blocks:
+        at = g.degrees == d
+        base[at], stride[at] = np.arange(start, start + width), width
+    big = g.degrees > _PORT_MAJOR_MAX_DEGREE
+    base[big] = np.cumsum(g.degrees[big]) + plan.segment - g.degrees[big]
+    base -= g.offsets[:-1] * stride
+    shift = np.empty(g.arc_count, dtype=np.int64)
+    for start, arcs in _runs(g, plan):
+        w = g.targets[arcs]  # the reverse arc's source
+        out = shift[start : start + arcs.size]
+        np.take(g.reverse, arcs, out=out, mode="wrap")
+        out *= stride[w]
+        out += base[w]
+    return shift
 
 
 def _slice_fields(shift: np.ndarray) -> dict:
-    """The slice fields of a port-major plan with this (d, n) shift, or no
+    """The slice fields of a one-block plan with this (d, n) shift, or no
     fields if its fix-ups would exceed _SLICE_MAX_FIX_FRACTION of the arcs.
 
     Row q's (p, k) is its most common source row p, then the most common
@@ -270,7 +276,10 @@ def _slice_fields(shift: np.ndarray) -> dict:
         fixes.append(miss + q * n)
     fix = np.concatenate(fixes)
     fix_src = shift.reshape(-1)[fix]
-    return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
+    fields = dict(fix=fix, fix_src=fix_src, fix_v=fix_src % n)
+    for arr in fields.values():
+        arr.setflags(write=False)
+    return dict(slices=tuple(slices), **fields)
 
 
 def _blocks(slices, n: int) -> list[tuple]:
@@ -306,73 +315,66 @@ class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
 
-    The query runs in place on ``x``.  Where the plan has row slices, the
-    coin's image goes straight to its shifted position in ``spare``, block
-    by block.  For each block of vertices the step computes the scaled coin
-    sums of the block and of a halo of up to max|k| vertices on either
-    side, which the block's slice subtracts also read, into ``sums``;
-    gathers from them the sums that the block's vertices give the fix-ups;
-    and runs every row's slice subtract over the block while its rows are
-    still in cache.  The fix-ups follow, after which the two buffers swap
-    roles.  Every amplitude is ``sums[w]*(2/d) - x[p, w]`` however the
-    vertices are blocked, so every layout gives the same bits.  Other plans
-    write the coin's image to ``spare`` and gather it back into ``x``
-    through ``shift``.
+    The query runs in place on ``x``.  On a gather plan ``coin`` writes its
+    image to ``spare``, block by block and then the segment, and the shift
+    gathers it back into ``x``.  On a sliced plan the step runs in blocks
+    of vertices (see _blocks): for each, it computes the scaled coin sums
+    of the block and of its halo into ``sums``, gathers from them the sums
+    the block's fix-ups read, and runs every row's slice subtract over the
+    block while its rows are still in cache.  The fix-ups follow, after
+    which the two buffers swap roles.  Every amplitude is
+    ``sums[w]*(2/d) - x[p, w]`` however the vertices are blocked, so every
+    layout gives the same bits.
 
-    The n vertices split into ceil(n / _BLOCK_VERTICES) blocks of
-    near-equal width, so up to 2^15 vertices one block covers them all.
-    ``coin`` alone, which ``apply_coin`` runs, sums every vertex at once.
-    On every plan ``norm`` is one dot of the whole state; pin BLAS to one
-    thread for it, as the benchmark does (see the module docstring).
+    The blocks run on the calling thread.  Split across two threads, 200
+    steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
+    2-vCPU host, but each numpy call retakes the interpreter lock: with
+    another process busy 60% of one core, 0.99-1.34 s against 0.70-0.86 s.
 
-    The blocks run on the calling thread.  Shared between two threads, they
-    ran 200 steps of a 512x512 torus in 0.47-0.69 s against 0.73-0.84 s on
-    one thread on an idle 2-vCPU host.  But each of a block's numpy calls
-    retakes the interpreter lock, so a thread that lost its core to another
-    process stalled the other: with a competing process busy 60% of one
-    core, two threads took 0.99-1.34 s and one thread 0.70-0.86 s.
-
-    A kernel belongs to one call, so its buffers live here.  The plan is
-    read-only and lives on the graph, which threads share: the first kernel
-    on a graph builds it and every later one reuses it.  Two threads that
-    race on a graph's first walk both build the same plan, and the single
-    attribute store keeps one of them, so no lock is needed.
+    A kernel belongs to one call, so its buffers live here.  The plan lives
+    on the graph, which threads share: two threads that race on a graph's
+    first walk both build the same plan, and the attribute store keeps one.
     """
 
     def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
-        self.plan = plan = _coin_plan(g)
-        d = plan.ports
-        self.x = _page_placed(amplitudes.size, 0)
-        if d:
-            self.x.reshape(d, g.n)[:] = amplitudes.reshape(g.n, d).T
-            # Same order as ``arcs``, so _mass adds the same terms in turn.
-            self.arcs = (arcs % d) * g.n + arcs // d
-            self.sums = _page_placed(g.n, 2)
-        else:
-            self.x[:] = amplitudes
-            self.arcs = arcs
-        self.spare = _page_placed(amplitudes.size, 1)
+        self.g, self.plan = g, _coin_plan(g)
+        plan, lengths = self.plan, g.degrees[g.degrees > _PORT_MAJOR_MAX_DEGREE]
+        self.x, self.spare = _page_placed(amplitudes.size, 0), _page_placed(amplitudes.size, 1)
+        self.sums = _page_placed(max([width for *_, width in plan.blocks] + [lengths.size]), 2)
+        # The marked arcs' positions in the order of ``arcs``, so _mass adds
+        # the same terms in turn.  Each run's arcs ascend.
+        self.arcs = np.empty_like(arcs)
+        for start, run in _runs(g, plan):
+            np.take(amplitudes, run, out=self.x[start : start + run.size], mode="wrap")
+            at = np.searchsorted(run, arcs).clip(max=run.size - 1)
+            hit = run[at] == arcs
+            self.arcs[hit] = start + at[hit]
+        # The segment's reduceat starts, scale and rank gather, built here
+        # rather than kept on the plan, and writable so numpy copies none.
+        self.starts = np.cumsum(lengths) + plan.segment - lengths
+        self.scale, self.rank = 2.0 / lengths, np.repeat(np.arange(lengths.size), lengths)
         if plan.slices is None:
             return
+        [(d, _, width)] = plan.blocks
+        self.block_scale = 2.0 / d
         # The fix-up buffers, so a step allocates nothing.
-        self.fix_sums = np.empty(plan.fix.size)
-        self.fix_vals = np.empty(plan.fix.size)
+        self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
         # The fix-ups in vertex order, so each block gathers the coin sums
         # its own vertices give them into one run of fix_sums.
         order = np.argsort(plan.fix_v, kind="stable")
         self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
-        blocks = _blocks(plan.slices, g.n)
+        blocks = _blocks(plan.slices, width)
         # Block views for both directions between the buffers.
-        self.block_moves = (self._block_moves(blocks, self.x, self.spare),
-                            self._block_moves(blocks, self.spare, self.x))
+        self.block_moves = (self._block_moves(blocks, self.x, self.spare, d),
+                            self._block_moves(blocks, self.spare, self.x, d))
 
-    def _block_moves(self, blocks: list, src: np.ndarray, dst: np.ndarray) -> list:
+    def _block_moves(self, blocks: list, src: np.ndarray, dst: np.ndarray, d: int) -> list:
         """The views each block works on in a step from ``src`` to ``dst``:
         the source rows over the block and its halo, the part of ``sums``
         that holds their sums, where in it the sums of the block's fix-ups'
         vertices lie and the run of ``fix_sums`` they go to, and per slice
         subtract its two operands and its output."""
-        d, sums = self.plan.ports, self.sums
+        sums = self.sums
         rows, out = src.reshape(d, -1), dst.reshape(d, -1)
         bounds = np.searchsorted(self.fix_v, [(a, b) for _, _, a, b, _ in blocks])
         return [
@@ -384,32 +386,30 @@ class _Kernel:
         ]
 
     def arc_order(self, x: np.ndarray) -> np.ndarray:
-        """``x`` (the state or the spare buffer) in global arc order.
-
-        A port-major kernel transposes it into its other buffer, whose
-        pages are already mapped, rather than a fresh array that would
-        fault them in again.  Either way the kernel is done afterwards.
-        """
-        d = self.plan.ports
-        if not d:
-            return x
+        """``x`` (the state or the spare buffer) in global arc order, in the
+        other buffer, whose pages are mapped already; the kernel is done."""
         out = self.spare if x is self.x else self.x
-        for p, row in enumerate(x.reshape(d, -1)):
-            out[p::d] = row
+        for start, idx in _runs(self.g, self.plan):
+            out[idx] = x[start : start + idx.size]
         return out
 
     def coin(self) -> None:
         """Write the coin's image of ``x`` to ``spare``."""
-        plan, x = self.plan, self.x
-        if plan.ports:
-            rows = x.reshape(plan.ports, -1)
-            sums = self.sums
-            _port_sums(rows, sums)
-            np.multiply(sums, plan.scale, out=sums)
-            np.subtract(sums, rows, out=self.spare.reshape(rows.shape))
-        else:
-            sums = np.add.reduceat(x, plan.starts)
-            np.subtract((sums * plan.scale)[plan.rank], x, out=self.spare)
+        x, spare, sums = self.x, self.spare, self.sums
+        for d, start, width in self.plan.blocks:
+            rows = x[start : start + d * width].reshape(d, width)
+            part = sums[:width]
+            _port_sums(rows, part)
+            np.multiply(part, 2.0 / d, out=part)
+            # Row by row: a broadcast subtract would take a 64 KB buffer.
+            for row, out in zip(rows, spare[start : start + d * width].reshape(d, width)):
+                np.subtract(part, row, out=out)
+        if self.rank.size:
+            seg, part = slice(self.plan.segment, None), sums[: self.starts.size]
+            np.add.reduceat(x, self.starts, out=part)
+            np.multiply(part, self.scale, out=part)
+            np.take(part, self.rank, out=spare[seg], mode="wrap")
+            np.subtract(spare[seg], x[seg], out=spare[seg])
 
     def step(self) -> None:
         x, arcs, plan = self.x, self.arcs, self.plan
@@ -419,7 +419,7 @@ class _Kernel:
             np.take(self.spare, plan.shift, out=x, mode="wrap")
             return
         for views in self.block_moves[0]:
-            _run_block(views, plan.scale)  # which also gathers fix_sums
+            _run_block(views, self.block_scale)  # which also gathers fix_sums
         self.block_moves = self.block_moves[::-1]
         np.take(x, self.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
@@ -551,9 +551,7 @@ def read_state_snapshot(g: Graph, path) -> WalkState:
         if seen[arc]:
             raise ValueError(f"{where}: duplicate arc ({parts[0]}, {parts[1]})")
         seen[arc] = True
-        amps[arc] = _parse_float(parts[2], where)
-        if not math.isfinite(amps[arc]):
-            raise ValueError(f"{where}: amplitude {parts[2]!r} is not finite")
+        amps[arc] = _parse_finite(parts[2], "amplitude", where)
     if not seen.all():
         raise ValueError(f"{path}: has {int(seen.sum())} arcs, graph has {g.arc_count}")
     return WalkState(amps, g)

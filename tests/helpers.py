@@ -56,6 +56,19 @@ def port_major_shift(g: Graph) -> np.ndarray:
     return (r * n - w * (d * n - 1)).reshape(-1)
 
 
+def layout_blocks(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """The coin plan's blocks, from a scan over the degrees 1 to 8 in turn:
+    ``(d, start, width)`` for each degree that occurs, its ``width``
+    vertices' d ports each taking ``width`` positions from ``start`` on."""
+    blocks, start = [], 0
+    for d in range(1, 9):
+        width = sum(1 for v in range(g.n) if g.degree(v) == d)
+        if width:
+            blocks.append((d, start, width))
+            start += d * width
+    return tuple(blocks)
+
+
 def dense_query(g: Graph, marked) -> np.ndarray:
     diag = np.ones(g.arc_count)
     for v in marked:
@@ -190,7 +203,7 @@ def make_assignment_oracle(comp: MarkedComponent, coefficients, tol: float) -> d
     for v in comp.vertices:
         total = sum(c for e, c in coeffs.items() if v in e)
         required = -comp.outgoing_degree[v]
-        if abs(total - required) > tol:
+        if not abs(total - required) <= tol:  # NaN fails too
             raise InfeasibleComponentError(
                 f"coefficient sum at vertex {v} is {total}, constraint requires {required}"
             )

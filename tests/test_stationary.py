@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,13 @@ class TestMakeAssignment:
         with pytest.raises(InfeasibleComponentError, match="vertex 3"):
             make_assignment(comp, {(3, 4): 2.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficient_fails_the_vertex_check(self, cycle5, value):
+        # A NaN sum compared False against the tolerance and passed.
+        comp = single_component(cycle5, {3, 4})
+        with pytest.raises(InfeasibleComponentError, match="vertex 3"):
+            make_assignment(comp, {(3, 4): value})
+
     def test_matches_solver_when_given_solver_output(self, cycle5):
         comp = single_component(cycle5, {3, 4})
         solved = solve_min_norm(comp)
@@ -374,6 +382,18 @@ class TestAssignmentFileIO:
         path = tmp_path / "bad.txt"
         path.write_text("3 4 -1.0\n")
         with pytest.raises(ValueError, match="missing trailing 'a"):
+            read_assignment_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 4 nan\na 0.5\n", ":1: coefficient 'nan' is not finite"),
+        ("3 4 -inf\na 0.5\n", ":1: coefficient '-inf' is not finite"),
+        ("3 4 -1.0\na inf\n", ":2: scale 'inf' is not finite"),
+        ("a NaN\n3 4 -1.0\n", ":1: scale 'NaN' is not finite"),
+    ], ids=["coefficient_nan", "coefficient_minus_inf", "scale_inf", "scale_nan"])
+    def test_non_finite_value_rejected_at_its_line(self, tmp_path, text, message):
+        path = tmp_path / "asg.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path) + message)}$"):
             read_assignment_file(path)
 
     def test_duplicate_edge(self, tmp_path):

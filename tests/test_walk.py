@@ -32,6 +32,8 @@ from qwsearch.walk import _CoinPlan, _Kernel, _coin_plan, _port_sums
 
 from helpers import (
     SHIFT_GRAPHS,
+    layout_blocks,
+    port_major_shift,
     dense_coin,
     dense_query,
     dense_shift,
@@ -267,22 +269,41 @@ class TestEvolve:
 
 
 def irregular_graph():
-    """Degrees 1 to 4 plus three isolated vertices (9, 10, 11)."""
+    """Degrees 2 and 3 plus three isolated vertices (9, 10, 11)."""
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 8), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
     return build_graph(edges, 12)
 
 
-# Graphs for the step kernel: port-major plans at d = 1..8 (complete_graph(7)
-# is 6-regular), segment plans beyond d = 8 and on irregular graphs.
+def mixed_graph():
+    """Degrees 4 to 11, on both sides of 8, plus four isolated vertices
+    (3, 10, 17 and 24) among them: blocks and the segment in one plan."""
+    rng = np.random.default_rng(8)
+    keep = [v for v in range(28) if v % 7 != 3]
+    return build_graph([(u, v) for i, u in enumerate(keep) for v in keep[i + 1:] if rng.random() < 0.35], 28)
+
+
+def sparse_irregular_graph():
+    """4,000 vertices, 200 of them isolated, each other one drawing one to
+    three random partners: degrees 1 to 12."""
+    rng = np.random.default_rng(3)
+    active = rng.permutation(4000)[200:]
+    edges = {(min(u, w), max(u, w)) for u in active for w in rng.choice(active, rng.integers(1, 4)) if u != w}
+    return build_graph(sorted(edges), 4000)
+
+
+# Graphs for the step kernel: one block at d = 1..8 (complete_graph(7) is
+# 6-regular), one segment beyond d = 8, blocks on irregular graphs, and
+# blocks with a segment on the mixed graph.
 KERNEL_GRAPHS = {
     **{f"regular_d{d}": (lambda d=d: random_regular_graph(20, d, seed=d)) for d in range(1, 10)},
     "complete7": lambda: complete_graph(7),
     "complete12": lambda: complete_graph(12),
     "irregular": irregular_graph,
+    "mixed": mixed_graph,
 }
 
-# A case's seed is its index here; the KERNEL_GRAPHS come first, so adding
-# shift graphs left their seeds as they were.
+# A case's seed is its index here, so adding a graph moves the seeds of the
+# cases sorted after it.
 CASES = sorted(KERNEL_GRAPHS) + sorted(SHIFT_GRAPHS)
 
 
@@ -295,6 +316,38 @@ def kernel_case(name):
     amps[rng.choice(g.arc_count, size=4, replace=False)] = [0.0, -0.0, -0.0, 0.0]
     amps /= np.linalg.norm(amps)
     return g, amps, [0, g.n // 2]
+
+
+def assert_runs_tile_the_layout(g, plan):
+    """The runs follow on from each other in position order, the blocks'
+    rows and then the segment, each ascending, and hold every arc once."""
+    runs = sorted(walk._runs(g, plan), key=lambda run: run[0])
+    ends = [start + arcs.size for start, arcs in runs]
+    assert [start for start, _ in runs] == [0] + ends[:-1] and ends[-1] == g.arc_count
+    assert all(np.all(np.diff(arcs) > 0) for _, arcs in runs)
+    for start, arcs in runs:  # a block's positions hold its degree's arcs, the segment the rest
+        d = next((d for d, first, width in plan.blocks if first <= start < first + d * width), None)
+        degrees = g.degrees[g.arc_source[arcs]]
+        assert np.all(degrees == d) if d else np.all(degrees > walk._PORT_MAJOR_MAX_DEGREE)
+    assert np.array_equal(np.sort(np.concatenate([arcs for _, arcs in runs])), np.arange(g.arc_count))
+    segment_arcs = g.degrees[g.degrees > walk._PORT_MAJOR_MAX_DEGREE].sum()
+    assert plan.segment == g.arc_count - segment_arcs
+
+
+@pytest.mark.parametrize("name", ["irregular", "mixed", "complete12", "regular_d4"])
+def test_runs_of_a_few_vertices_match_the_reference(name, monkeypatch):
+    """Runs cover at most _BLOCK_VERTICES vertices; lowered to 5, the mixed
+    graph's blocks and segment each take several runs."""
+    monkeypatch.setattr(walk, "_BLOCK_VERTICES", 5)
+    g, amps, marked = kernel_case(name)
+    assert_runs_tile_the_layout(g, _coin_plan(g))
+    seen = []
+    out = evolve(WalkState(amps, g), marked, 30, observer=lambda t, p: seen.append(p))
+    ref_seen, ref_amps = reference_evolve(g, amps, marked, 30)
+    assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+    assert out.amplitudes.tobytes() == ref_amps.tobytes()
+    assert step(WalkState(amps, g), marked).amplitudes.tobytes() == reference_evolve(g, amps, marked, 1)[1].tobytes()
+    assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -472,9 +525,17 @@ class TestBlockedStep:
         assert seen == [0, 1, 2]
 
 
-def test_evolve_allocates_no_state_sized_buffer_per_step():
-    g = torus2d_graph(128, 128)
-    assert _coin_plan(g).slices is not None
+@pytest.mark.parametrize("build, sliced", [
+    (lambda: torus2d_graph(128, 128), True),
+    (lambda: random_regular_graph(4000, 3, seed=1), False),  # one block
+    (sparse_irregular_graph, False),  # blocks and a segment
+], ids=["torus128", "random_regular4000", "sparse_irregular"])
+def test_evolve_allocates_no_state_sized_buffer_per_step(build, sliced):
+    # A gather plan's shift is writable: np.take copies a read-only index
+    # on every call, 8 bytes per arc.
+    g = build()
+    assert (_coin_plan(g).slices is not None) == sliced
+    marked = np.flatnonzero(g.degrees)[[0, 1, 128, 129]].tolist()
     state_bytes = g.arc_count * 8
     traced = {}
 
@@ -487,7 +548,7 @@ def test_evolve_allocates_no_state_sized_buffer_per_step():
 
     tracemalloc.start()
     try:
-        evolve(initial_state(g), [0, 1, 128, 129], 45, observer=observer)
+        evolve(initial_state(g), marked, 45, observer=observer)
     finally:
         tracemalloc.stop()
     assert traced["peak"] - traced["start"] < state_bytes // 8
@@ -501,8 +562,7 @@ def test_kernel_buffers_start_a_quarter_page_apart(build):
     kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
     assert kernel.x.ctypes.data % 4096 == 0
     assert kernel.spare.ctypes.data % 4096 == 1024
-    if kernel.plan.ports:
-        assert kernel.sums.ctypes.data % 4096 == 2048
+    assert kernel.sums.ctypes.data % 4096 == 2048
     assert kernel.x.size == kernel.spare.size == g.arc_count
 
 
@@ -517,7 +577,37 @@ class TestCoinPlan:
         (lambda: build_graph([], 3), 0),
     ])
     def test_plan_choice(self, build, ports):
-        assert _coin_plan(build()).ports == ports
+        # ``ports`` is the degree of a plan that is one block, 0 otherwise.
+        g = build()
+        plan = _coin_plan(g)
+        assert plan.blocks == layout_blocks(g)
+        assert (plan.blocks == ((ports, 0, g.n),)) == (ports > 0)
+        assert plan.segment == g.degrees[g.degrees <= walk._PORT_MAJOR_MAX_DEGREE].sum()
+
+    @pytest.mark.parametrize("build, blocks, segment", [
+        (irregular_graph, ((2, 0, 5), (3, 10, 4)), 22),
+        (mixed_graph, ((4, 0, 2), (6, 8, 2), (7, 20, 3), (8, 41, 4)), 73),
+        (lambda: complete_graph(10), (), 0),
+    ], ids=["irregular", "mixed", "complete10"])
+    def test_blocks_by_degree(self, build, blocks, segment):
+        plan = _coin_plan(build())
+        assert plan.blocks == blocks and plan.segment == segment
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_layout_tiles_the_arcs_and_the_shift_swaps_their_positions(self, name, monkeypatch):
+        monkeypatch.setattr(walk, "_slice_fields", lambda shift: {})  # keep every plan's shift
+        g = {**KERNEL_GRAPHS, **SHIFT_GRAPHS}[name]()
+        plan = _coin_plan(g)
+        assert plan.blocks == layout_blocks(g)
+        assert_runs_tile_the_layout(g, plan)
+        where = np.full(g.arc_count, -1)  # each arc's position
+        for start, arcs in walk._runs(g, plan):
+            where[arcs] = np.arange(start, start + arcs.size)
+        assert np.array_equal(plan.shift[where], where[g.reverse])
+        assert np.array_equal(plan.shift[plan.shift], np.arange(g.arc_count))
+        if len(plan.blocks) == 1 and plan.segment == g.arc_count:
+            assert np.array_equal(plan.shift, port_major_shift(g))
+        assert plan.shift.flags.writeable
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_port_sums_match_reduceat(self, d):
