@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _arcs_of
 from .stationary import StationaryAssignment, _require_disjoint
 
 __all__ = [
@@ -63,14 +63,6 @@ def total_bound(assignments: Sequence[StationaryAssignment]) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _segment_local_indices(lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    return np.arange(total) - np.repeat(ends - lengths, lengths)
-
-
 def _eccentricity(g: Graph, source: int) -> tuple[int, int]:
     """BFS level count from ``source`` and the farthest vertex reached."""
     dist = np.full(g.n, -1, dtype=np.int64)
@@ -79,12 +71,7 @@ def _eccentricity(g: Graph, source: int) -> tuple[int, int]:
     level = 0
     farthest = source
     while frontier.size:
-        starts = g.offsets[frontier]
-        lengths = g.degrees[frontier]
-        idx = np.repeat(starts, lengths) + _segment_local_indices(lengths)
-        if idx.size == 0:
-            break
-        nbrs = g.targets[idx]
+        nbrs = g.targets[_arcs_of(g, frontier)]
         fresh = np.unique(nbrs[dist[nbrs] < 0])
         if fresh.size == 0:
             break
@@ -97,10 +84,12 @@ def _eccentricity(g: Graph, source: int) -> tuple[int, int]:
 
 def estimate_diameter(g: Graph) -> int:
     """Double-sweep BFS estimate of the diameter (exact on trees and cycles,
-    a lower bound in general; plenty for sizing step budgets)."""
+    a lower bound in general; plenty for sizing step budgets).  The first
+    sweep starts at the lowest vertex of positive degree: from an isolated
+    vertex it would reach nothing."""
     if g.n == 0 or g.arc_count == 0:
         return 0
-    _, far = _eccentricity(g, 0)
+    _, far = _eccentricity(g, int(np.argmax(g.degrees > 0)))
     ecc, _ = _eccentricity(g, far)
     return ecc
 

@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for infeasibility.
+        # --help exits 0; _Parser.error has printed its one line and exits 1.
         return 0 if exc.code in (0, None) else experiments.EXIT_INPUT_ERROR
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "solve": _cmd_solve, "verify": _cmd_verify}
     try:

@@ -238,7 +238,7 @@ def load_config(path) -> ExperimentConfig:
         obj = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ValueError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deep
         raise ValueError(f"{path}: invalid JSON: {err}") from None
     except ValueError as err:  # from _unique_keys
         raise ValueError(f"{path}: {err}") from None
@@ -442,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
             "stationary_probability": stationary_p,
         },
         "bound_total": report_bounds.total_bound,
-        "p_initial": rows[0][1] if rows else 0.0,
+        "p_initial": rows[0][1],
         "observed_max_p": best_p,
         "observed_argmax_t": best_t,
         "margin": report_bounds.total_bound - best_p,

@@ -129,6 +129,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _arcs_of(g: Graph, vertices: np.ndarray) -> np.ndarray:
+    """The arcs of an int64 array of vertices, each vertex's in port order,
+    concatenated in the order of ``vertices``."""
+    lengths = g.degrees[vertices]
+    return np.repeat(g.offsets[vertices] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+
+
 class _EdgeError(ValueError):
     """An invalid edge, with its position in the edge list."""
 
@@ -246,7 +253,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish simple d-regular graph, deterministic for a given seed.
 
     Stub-matching with an early dead-end check (adapted from the standard
-    NetworkX procedure).
+    NetworkX procedure).  Raises ValueError when 1000 pairings all fail.
     """
     if not 0 <= d < n:
         raise ValueError(f"random_regular needs 0 <= d < n, got d={d}, n={n}")
@@ -296,7 +303,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         edges = try_pairing()
         if edges is not None:
             return build_graph(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), n)
-    raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
+    raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
 _FAMILIES = {

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Graph, MarkedComponent, _parse_finite, _parse_int
+from .graphs import Graph, MarkedComponent, _arcs_of, _parse_finite, _parse_int
 from .walk import WalkState, step
 
 __all__ = [
@@ -289,7 +289,7 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
         residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
         np.subtract(amps, np.take(amps, g.reverse, out=work, mode="wrap"), out=work)
         mismatch = float(np.abs(work, out=work).max())
-    unmarked = amps[~np.isin(g.arc_source, sorted(marked_set))]
+    unmarked = np.delete(amps, _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64)))
     spread = float(unmarked.max() - unmarked.min()) if unmarked.size else 0.0
     vertex_sum = 0.0
     for v in marked_set:

@@ -20,9 +20,10 @@ port-major block whose coin sums are row adds, and the higher degrees
 share one np.add.reduceat segment.  The coin's image is gathered through
 the shift or, on a one-block plan whose shift mostly moves whole rows
 (tori, cycles), written straight to its shifted positions in row slices,
-a block of vertices at a time, plus a small fix-up gather.  Every layout
-computes each amplitude by the same operations, so all give results bit
-for bit equal to the step as written above.
+a block of vertices at a time through views cut once from the plan's
+slices, plus a small fix-up gather in the order the blocks read them.
+Every layout computes each amplitude by the same operations, so all give
+results bit for bit equal to the step as written above.
 
 ``evolve``'s norm guard is one dot of the whole state after every step.
 numpy hands a dot of more than 10,000 elements to BLAS, and OpenBLAS left
@@ -40,7 +41,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, _parse_finite, _parse_int
+from .graphs import Graph, _arcs_of, _parse_finite, _parse_int
 
 __all__ = [
     "WalkState", "NormDriftError", "NORM_DRIFT_LIMIT", "initial_state", "apply_query", "apply_coin",
@@ -87,9 +88,7 @@ def _marked_arc_indices(g: Graph, marked: Iterable[int]) -> np.ndarray:
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"marked vertex {v} out of range for n={g.n}")
-    if not vs:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(g.offsets[v], g.offsets[v + 1]) for v in vs])
+    return _arcs_of(g, np.array(vs, dtype=np.int64))
 
 
 def _port_sums(rows: np.ndarray, out: np.ndarray) -> None:
@@ -135,13 +134,13 @@ _SLICE_MAX_FIX_FRACTION = 0.25
 
 # Most vertices in a block of the sliced step: a graph of n vertices takes
 # ceil(n / _BLOCK_VERTICES) blocks whose widths differ by at most one (see
-# _blocks), so a graph of up to 2^15 vertices is one block.  A full block
-# of a 4-regular torus reads 1 MB of the state and writes 1 MB.  Per step
-# against one block (one thread on a 2-vCPU Xeon with 2 MB of L2 per core,
-# OpenBLAS pinned): 0.88-0.92 on the 256x256 torus, 0.73 on 512x512 and
-# 0.81-0.90 on cycle(40000).  Blocks of exactly 2^15 vertices would leave a
-# runt last block, and blocks of 2^13 to 2^16 vertices took within 7% of
-# each other at 2^18 vertices (BENCH_blockwidth.json).
+# _Kernel._block_views), so a graph of up to 2^15 vertices is one block.
+# A full block of a 4-regular torus reads 1 MB of the state and writes
+# 1 MB.  Per step against one block (one thread on a 2-vCPU Xeon with 2 MB
+# of L2 per core, OpenBLAS pinned): 0.88-0.92 on the 256x256 torus, 0.73 on
+# 512x512 and 0.81-0.90 on cycle(40000).  Blocks of exactly 2^15 vertices
+# would leave a runt last block, and blocks of 2^13 to 2^16 vertices took
+# within 7% of each other at 2^18 vertices (BENCH_blockwidth.json).
 _BLOCK_VERTICES = 1 << 15
 
 
@@ -160,18 +159,20 @@ class _CoinPlan:
     one segment in arc order.
 
     ``shift`` maps each position to the position of its reverse arc, range
-    checked at build so the kernel can gather with ``mode="wrap"``.  It is
-    the one plan array left writable: np.take copies a read-only index on
-    every call, 8 bytes per arc per step.
+    checked at build so the kernel can gather with ``mode="wrap"``.  It and
+    the fix-up arrays are left writable: np.take copies a read-only index
+    on every call, 8 bytes per arc per step.
 
     A one-block plan whose shift mostly moves whole rows carries
     ``slices`` instead: for each destination row q, ``(p, k, lo, hi)``
     says that positions ``lo:hi`` of row q read row p at vertex offset k
     (``lo`` and ``hi - 1`` do), so the kernel writes
     ``sums[lo+k:hi+k] - rows[p, lo+k:hi+k]`` straight into them.  The
-    other positions are fix-ups, ascending in ``fix``, with the shift at
-    them in ``fix_src`` and its vertex in ``fix_v``: the kernel writes
-    ``sums[fix_v] - x[fix_src]`` to them after the slices.  Plans with
+    other positions are fix-ups, in ``fix``, with the shift at them in
+    ``fix_src`` and its vertex in ``fix_v``: the kernel writes
+    ``sums[fix_v] - x[fix_src]`` to them after the slices.  They are
+    stored by ascending ``fix_v``, ties in position order, so the vertices
+    of a block of the step read the sums of one run of them.  Plans with
     more than _SLICE_MAX_FIX_FRACTION of their arcs as fix-ups gather.
     """
 
@@ -219,9 +220,8 @@ def _runs(g: Graph, plan: _CoinPlan):
                 yield start + p * width + placed[block], first + p
             placed[block] += first.size
         big = np.flatnonzero(degrees > _PORT_MAJOR_MAX_DEGREE)
-        if big.size:  # each big vertex's arcs, concatenated
-            lengths = degrees[big]
-            arcs = np.repeat(offsets[big] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+        if big.size:
+            arcs = _arcs_of(g, big + v)
             yield segment, arcs
             segment += arcs.size
 
@@ -275,32 +275,9 @@ def _slice_fields(shift: np.ndarray) -> dict:
             return {}
         fixes.append(miss + q * n)
     fix = np.concatenate(fixes)
+    fix = fix[np.argsort(shift.reshape(-1)[fix] % n, kind="stable")]
     fix_src = shift.reshape(-1)[fix]
-    fields = dict(fix=fix, fix_src=fix_src, fix_v=fix_src % n)
-    for arr in fields.values():
-        arr.setflags(write=False)
-    return dict(slices=tuple(slices), **fields)
-
-
-def _blocks(slices, n: int) -> list[tuple]:
-    """Split vertices 0..n-1 into ceil(n / _BLOCK_VERTICES) contiguous
-    blocks whose widths differ by at most one.  Each block is
-    ``(s, e, a, b, moves)``: it owns vertices ``a:b``, its slice subtracts
-    read the coin sums of ``s:e`` (the block and its halo of up to max|k|
-    vertices), and ``moves`` holds ``(q, p, k, j0, j1)`` for each row q
-    whose slice meets it, clipped to positions ``j0:j1``."""
-    count = -(-n // _BLOCK_VERTICES)
-    blocks = []
-    for i in range(count):
-        a, b = n * i // count, n * (i + 1) // count
-        s, e, moves = a, b, []
-        for q, (p, k, lo, hi) in enumerate(slices):
-            j0, j1 = max(a, lo), min(b, hi)
-            if j0 < j1:
-                moves.append((q, p, k, j0, j1))
-                s, e = min(s, j0 + k), max(e, j1 + k)
-        blocks.append((s, e, a, b, moves))
-    return blocks
+    return dict(slices=tuple(slices), fix=fix, fix_src=fix_src, fix_v=fix_src % n)
 
 
 def _coin_plan(g: Graph) -> _CoinPlan:
@@ -318,13 +295,14 @@ class _Kernel:
     The query runs in place on ``x``.  On a gather plan ``coin`` writes its
     image to ``spare``, block by block and then the segment, and the shift
     gathers it back into ``x``.  On a sliced plan the step runs in blocks
-    of vertices (see _blocks): for each, it computes the scaled coin sums
-    of the block and of its halo into ``sums``, gathers from them the sums
-    the block's fix-ups read, and runs every row's slice subtract over the
-    block while its rows are still in cache.  The fix-ups follow, after
-    which the two buffers swap roles.  Every amplitude is
-    ``sums[w]*(2/d) - x[p, w]`` however the vertices are blocked, so every
-    layout gives the same bits.
+    of vertices, each through views cut once per direction (see
+    _block_views): it computes the scaled coin sums of the block and its
+    halo into ``sums``, gathers those its fix-ups read into its run of
+    ``fix_sums``, in the plan's fix-up order, and runs every row's slice
+    subtract over the block while its rows are still in cache.  The
+    fix-ups follow, after which the two buffers swap roles.  Every
+    amplitude is ``sums[w]*(2/d) - x[p, w]`` however the vertices are
+    blocked, so every layout gives the same bits.
 
     The blocks run on the calling thread.  Split across two threads, 200
     steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
@@ -355,35 +333,41 @@ class _Kernel:
         self.scale, self.rank = 2.0 / lengths, np.repeat(np.arange(lengths.size), lengths)
         if plan.slices is None:
             return
-        [(d, _, width)] = plan.blocks
-        self.block_scale = 2.0 / d
+        self.block_scale = 2.0 / plan.blocks[0][0]
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
-        # The fix-ups in vertex order, so each block gathers the coin sums
-        # its own vertices give them into one run of fix_sums.
-        order = np.argsort(plan.fix_v, kind="stable")
-        self.fix, self.fix_src, self.fix_v = plan.fix[order], plan.fix_src[order], plan.fix_v[order]
-        blocks = _blocks(plan.slices, width)
-        # Block views for both directions between the buffers.
-        self.block_moves = (self._block_moves(blocks, self.x, self.spare, d),
-                            self._block_moves(blocks, self.spare, self.x, d))
+        self.block_views = (self._block_views(self.x, self.spare), self._block_views(self.spare, self.x))
 
-    def _block_moves(self, blocks: list, src: np.ndarray, dst: np.ndarray, d: int) -> list:
-        """The views each block works on in a step from ``src`` to ``dst``:
-        the source rows over the block and its halo, the part of ``sums``
-        that holds their sums, where in it the sums of the block's fix-ups'
-        vertices lie and the run of ``fix_sums`` they go to, and per slice
-        subtract its two operands and its output."""
-        sums = self.sums
-        rows, out = src.reshape(d, -1), dst.reshape(d, -1)
-        bounds = np.searchsorted(self.fix_v, [(a, b) for _, _, a, b, _ in blocks])
-        return [
-            (rows[:, s:e], sums[: e - s], self.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
+    def _block_views(self, src: np.ndarray, dst: np.ndarray) -> list:
+        """The views each block works on in a step from ``src`` to ``dst``.
+
+        The n vertices split into ceil(n / _BLOCK_VERTICES) contiguous
+        blocks whose widths differ by at most one.  A block that owns
+        vertices ``a:b`` has, in turn: the source rows over ``s:e``, the
+        block and its halo of up to max|k| vertices, which its slice
+        subtracts read; the part of ``sums`` that holds their sums; the
+        vertices, less ``s``, of the fix-ups that read vertices ``a:b``,
+        and their run of ``fix_sums``; and for each row q whose slice
+        meets the block, clipped to positions ``j0:j1``, its subtract's two
+        operands and its output.
+        """
+        plan, sums = self.plan, self.sums
+        [(d, _, n)] = plan.blocks
+        rows, out = src.reshape(d, n), dst.reshape(d, n)
+        count = -(-n // _BLOCK_VERTICES)
+        views = []
+        for i in range(count):
+            a, b = n * i // count, n * (i + 1) // count
+            moves = [(q, p, k, max(a, lo), min(b, hi)) for q, (p, k, lo, hi) in enumerate(plan.slices)]
+            moves = [move for move in moves if move[3] < move[4]]
+            s = min([a] + [j0 + k for _, _, k, j0, _ in moves])
+            e = max([b] + [j1 + k for _, _, k, _, j1 in moves])
+            lo, hi = np.searchsorted(plan.fix_v, (a, b))
+            views.append((rows[:, s:e], sums[: e - s], plan.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
                 (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1])
                 for q, p, k, j0, j1 in moves
-            ])
-            for (s, e, _, _, moves), (lo, hi) in zip(blocks, bounds)
-        ]
+            ]))
+        return views
 
     def arc_order(self, x: np.ndarray) -> np.ndarray:
         """``x`` (the state or the spare buffer) in global arc order, in the
@@ -418,14 +402,14 @@ class _Kernel:
             self.coin()
             np.take(self.spare, plan.shift, out=x, mode="wrap")
             return
-        for views in self.block_moves[0]:
+        for views in self.block_views[0]:
             _run_block(views, self.block_scale)  # which also gathers fix_sums
-        self.block_moves = self.block_moves[::-1]
-        np.take(x, self.fix_src, out=self.fix_vals, mode="wrap")
+        self.block_views = self.block_views[::-1]
+        np.take(x, plan.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
-        self.spare[self.fix] = self.fix_vals
+        self.spare[plan.fix] = self.fix_vals
         self.x, self.spare = self.spare, x
 
     def norm(self) -> float:

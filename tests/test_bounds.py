@@ -4,6 +4,7 @@ import pytest
 
 from qwsearch import (
     BoundReport,
+    build_graph,
     complete_graph,
     component_bound,
     cycle_graph,
@@ -270,3 +271,10 @@ class TestDiameterAndBudget:
     def test_budget_cap(self):
         assert default_step_budget(cycle_graph(10)) == 250
         assert default_step_budget(cycle_graph(500)) == 10_000
+
+    def test_an_isolated_vertex_0_does_not_cut_the_budget(self):
+        # A 9-vertex path on vertices 1..9, then the same path on 0..8.
+        isolated_first = build_graph([(v, v + 1) for v in range(1, 9)], 10)
+        isolated_last = build_graph([(v, v + 1) for v in range(8)], 10)
+        assert estimate_diameter(isolated_first) == estimate_diameter(isolated_last) == 8
+        assert default_step_budget(isolated_first) == default_step_budget(isolated_last) == 640

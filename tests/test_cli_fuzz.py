@@ -3,10 +3,11 @@
 Every input, valid or not, must end in a documented exit status with at
 most one line on stderr and never a traceback; a run that exits 0 must
 leave both artifacts with ``checks_passed: true``.  ``cli.main`` runs in
-process on small generated inputs: mutated fixture configs, edge lists
-(oversized headers included), state snapshots, assignment files and
-marked lists.  Sizes are either tiny or beyond int64, never in between,
-so no example allocates a large graph.
+process on small generated inputs: mutated fixture configs (one nested
+too deep to parse among them), edge lists (oversized headers included),
+state snapshots, assignment files and marked lists.  Sizes are either
+tiny or beyond int64, never in between, so no example allocates a large
+graph.
 """
 
 import contextlib
@@ -40,6 +41,8 @@ FIXTURE_CONFIGS = [
     {"graph": {"edge_list": "g.txt"}, "marked": {"vertices": [3, 4]}, "t_max": 20,
      "assignment": {"file": "asg.txt"}, "csv": "steps.csv", "report": "report.json"},
 ]
+# A whole-document mutation: nested deeper than json.loads can recurse.
+TOO_DEEP = "[" * 100_000
 # Keys a mutation may set, besides the ones a fixture already has.
 EXTRA_KEYS = [("t_max",), ("assignment",), ("csv",), ("report",), ("extra",), ("graph", "n"),
               ("graph", "edge_list"), ("graph", "rows"), ("marked", "pairs"), ("marked", "block", "rows")]
@@ -67,6 +70,8 @@ def _key_paths(obj, prefix=()):
 
 @st.composite
 def configs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return TOO_DEEP
     cfg = copy.deepcopy(draw(st.sampled_from(FIXTURE_CONFIGS)))
     for _ in range(draw(FEW)):
         path = draw(st.sampled_from(sorted(set(_key_paths(cfg)) | set(EXTRA_KEYS))))

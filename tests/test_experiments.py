@@ -690,6 +690,23 @@ class TestCli:
         assert captured.out == ""
         self.assert_one_out_of_memory_line(captured.err)
 
+    # All 1000 stub pairings of this graph fail, in about a second.
+    UNSAMPLED = {"graph": {"family": "random_regular", "n": 40, "d": 38, "seed": 1}, "marked": {"vertices": [0]}}
+    UNSAMPLED_ERROR = "failed to sample a simple 38-regular graph on 40 vertices"
+
+    def test_run_of_a_random_regular_graph_that_fails_to_sample_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "dense.json", self.UNSAMPLED)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {self.UNSAMPLED_ERROR}\n"
+
+    def test_sweep_reports_a_random_regular_graph_that_fails_to_sample_and_runs_the_rest(self, tmp_path, capsys):
+        write_config(tmp_path / "dense.json", self.UNSAMPLED)
+        fig_cycle_config(tmp_path)
+        assert main(["sweep", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        table = capsys.readouterr().out.splitlines()
+        assert table[1].startswith("cycle.json") and table[1].endswith(" ok")
+        assert table[2].startswith("dense.json") and table[2].endswith(f" error(1): {self.UNSAMPLED_ERROR}")
+
     # Beyond int64, so numpy cannot take it as an array length at all.
     OVERSIZED_N = 99999999999999999999999
 

@@ -250,9 +250,10 @@ def assert_row_slices_cover_the_shift(g):
     [(d, _, _)] = plan.blocks
     shift = port_major_shift(g).reshape(d, n)
     assert len(plan.slices) == d and plan.shift is None
-    for arr in (plan.fix, plan.fix_src, plan.fix_v):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-    assert np.all(np.diff(plan.fix) > 0)  # ascending, so each fix-up once
+    for arr in (plan.fix, plan.fix_src, plan.fix_v):  # writable: np.take copies a read-only index
+        assert arr.dtype == np.int64 and arr.flags.writeable
+    assert np.unique(plan.fix).size == plan.fix.size  # each position once
+    assert np.all(np.diff(plan.fix_v) >= 0)  # in the order the step's blocks read their sums
     assert np.array_equal(plan.fix_src, shift.reshape(-1)[plan.fix])
     assert np.array_equal(plan.fix_v, plan.fix_src % n)
     fixed = np.zeros(d * n, dtype=bool)
@@ -314,7 +315,8 @@ class TestShiftSlices:
         g = cycle_graph(1000)
         plan = _coin_plan(g)
         assert plan.slices == ((1, -1, 2, 999), (0, 1, 1, 998))
-        assert plan.fix.tolist() == [0, 1, 999, 1000, 1998, 1999]
+        assert plan.fix.tolist() == [1, 999, 0, 1999, 1000, 1998]  # by the vertex they read
+        assert plan.fix_v.tolist() == [0, 0, 1, 998, 999, 999]
         assert_row_slices_cover_the_shift(g)
 
 

@@ -28,6 +28,7 @@ from qwsearch import (
     write_edge_list,
     write_state_snapshot,
 )
+from qwsearch.graphs import _arcs_of
 from qwsearch.walk import _CoinPlan, _Kernel, _coin_plan, _port_sums
 
 from helpers import (
@@ -291,6 +292,19 @@ def sparse_irregular_graph():
     return build_graph(sorted(edges), 4000)
 
 
+@pytest.mark.parametrize("build", [irregular_graph, mixed_graph, lambda: build_graph([], 3)],
+                         ids=["irregular", "mixed", "no_edges"])
+def test_arcs_of_matches_a_per_vertex_concatenation(build):
+    g = build()
+    isolated = np.flatnonzero(g.degrees == 0)
+    shuffled = np.random.default_rng(g.n).permutation(g.n)
+    for vertices in ([], isolated, np.arange(g.n), shuffled[: g.n // 2], [*isolated, g.n - 1, 0]):
+        vertices = np.array(vertices, dtype=np.int64)
+        got = _arcs_of(g, vertices)
+        assert got.dtype == np.int64
+        assert got.tolist() == [arc for v in vertices for arc in range(g.offsets[v], g.offsets[v + 1])]
+
+
 # Graphs for the step kernel: one block at d = 1..8 (complete_graph(7) is
 # 6-regular), one segment beyond d = 8, blocks on irregular graphs, and
 # blocks with a segment on the mixed graph.
@@ -405,6 +419,48 @@ BLOCK_CASES = {
 }
 
 
+def _at(view, base):
+    """The index in ``base`` of ``view``'s first element."""
+    return (view.ctypes.data - base.ctypes.data) // base.itemsize
+
+
+def assert_block_views(g, kernel, widths):
+    """The kernel's block views, read back from where they lie in its
+    buffers, split the vertices into blocks of ``widths`` in both step
+    directions.  Each block's rows and sums span the block and at most
+    its halo, its slice subtracts write inside it and read inside its
+    rows, and its fix-ups read its own vertices, into the next run of
+    ``fix_sums``.  Across the blocks, the subtracts of row q write
+    positions ``lo:hi`` of its slice, each once."""
+    plan, n = kernel.plan, g.n
+    [(d, _, _)] = plan.blocks
+    halo = max(abs(k) for _, k, _, _ in plan.slices)
+    bounds = np.cumsum([0] + widths)
+    for src, dst, views in ((kernel.x, kernel.spare, kernel.block_views[0]),
+                            (kernel.spare, kernel.x, kernel.block_views[1])):
+        assert len(views) == len(widths)
+        written, fix_run = np.zeros((d, n), dtype=int), 0
+        for (rows, sums, fix_at, fix_sums, moves), a, b in zip(views, bounds, bounds[1:]):
+            s = _at(rows, src)
+            e = s + rows.shape[1]
+            assert rows.shape == (d, e - s) and _at(sums, kernel.sums) == 0 and sums.size == e - s
+            assert max(0, a - halo) <= s <= a and b <= e <= min(n, b + halo)
+            assert np.all((a <= fix_at + s) & (fix_at + s < b))
+            assert fix_sums.size == fix_at.size
+            # numpy may point an empty view anywhere
+            assert fix_sums.size == 0 or _at(fix_sums, kernel.fix_sums) == fix_run
+            fix_run += fix_sums.size
+            for sums_part, rows_part, out in moves:
+                (q, j0), (p, r0) = divmod(_at(out, dst), n), divmod(_at(rows_part, src), n)
+                assert a <= j0 < j0 + out.size <= b and s <= r0 and r0 + out.size <= e
+                assert plan.slices[q][:2] == (p, r0 - j0) and rows_part.size == out.size
+                assert _at(sums_part, kernel.sums) == r0 - s and sums_part.size == out.size
+                written[q, j0 : j0 + out.size] += 1
+        assert fix_run == plan.fix.size
+        for q, (_, _, lo, hi) in enumerate(plan.slices):
+            assert np.array_equal(written[q], (np.arange(n) >= lo) & (np.arange(n) < hi)), q
+
+
 @pytest.fixture
 def blocked(monkeypatch):
     """Slice every port-major plan and, once the one-block step has run,
@@ -429,7 +485,7 @@ class TestBlockedStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_matches_the_whole_row_step_bit_for_bit(self, blocked, name):
         g, amps, marked, whole_seen, whole = blocked(name)
-        assert len(_Kernel(g, amps, np.empty(0, dtype=np.int64)).block_moves[0]) > 1
+        assert len(_Kernel(g, amps, np.empty(0, dtype=np.int64)).block_views[0]) > 1
         seen = []
         out = evolve(WalkState(amps, g), marked, 60, observer=lambda t, p: seen.append(p))
         assert np.array(seen).tobytes() == np.array(whole_seen).tobytes()
@@ -443,7 +499,7 @@ class TestBlockedStep:
         for width in (BLOCK_CASES[name][1], g.n):  # several blocks, then one block
             monkeypatch.setattr(walk, "_BLOCK_VERTICES", width)
             kernel = _Kernel(g, amps, walk._marked_arc_indices(g, marked))
-            assert (len(kernel.block_moves[0]) > 1) == (width < g.n)
+            assert (len(kernel.block_views[0]) > 1) == (width < g.n)
             for _ in range(20):
                 kernel.step()
                 assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
@@ -452,25 +508,16 @@ class TestBlockedStep:
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", 5)
         g = torus2d_graph(6, 13)
-        slices = _coin_plan(g).slices
-        halo = max(abs(k) for _, k, _, _ in slices)
-        blocks = walk._blocks(slices, g.n)
-        owned = [(a, b) for _, _, a, b, _ in blocks]
-        assert owned[0][0] == 0 and owned[-1][1] == g.n
-        assert all(b0 == a1 for (_, b0), (a1, _) in zip(owned, owned[1:]))
-        assert len(blocks) == 16  # ceil(78 / 5), widths 4 and 5: no runt
-        assert {b - a for a, b in owned} == {4, 5}
-        for s, e, a, b, moves in blocks:
-            assert max(0, a - halo) <= s <= a and b <= e <= min(g.n, b + halo)
-            for q, p, k, j0, j1 in moves:
-                assert a <= j0 < j1 <= b and s <= j0 + k and j1 + k <= e
+        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+        # ceil(78 / 5) = 16 blocks, widths 4 and 5: no runt
+        assert_block_views(g, kernel, [4, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5, 5, 5, 5])
 
     def test_one_block_up_to_the_block_width_and_the_norm_from_one_dot(self):
         g = torus2d_graph(16, 16)
         assert g.n <= walk._BLOCK_VERTICES
         amps = random_unit_state_vector(np.random.default_rng(5), g.arc_count)
         kernel = _Kernel(g, amps, walk._marked_arc_indices(g, [0, 1, 17]))
-        for views in kernel.block_moves:
+        for views in kernel.block_views:
             [(rows, sums, _, _, _)] = views  # exactly one block
             assert rows.shape == (4, g.n) and sums.size == g.n  # over vertices 0..n
             assert np.shares_memory(sums, kernel.sums)
@@ -486,11 +533,8 @@ class TestBlockedStep:
     ], ids=["torus128", "torus256", "cycle40000", "torus182x181"])
     def test_block_widths_at_the_real_block_size(self, build, widths):
         g = build()
-        plan = _coin_plan(g)
-        assert plan.slices is not None
-        assert [b - a for _, _, a, b, _ in walk._blocks(plan.slices, g.n)] == widths
-        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
-        assert [len(views) for views in kernel.block_moves] == [len(widths)] * 2
+        assert _coin_plan(g).slices is not None
+        assert_block_views(g, _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64)), widths)
 
     def test_two_blocks_of_a_256x256_torus_match_the_reference(self):
         g = torus2d_graph(256, 256)
