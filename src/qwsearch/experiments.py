@@ -400,6 +400,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
         )
     check = verify_stationary(g, marked, state)
     stationary_p = marked_probability(state, marked)
+    del state  # a state-sized array the walk below does not need
     report_bounds = bounds_mod.total_bound(assignments)
 
     t_max = cfg.t_max if cfg.t_max is not None else bounds_mod.default_step_budget(g)

@@ -18,7 +18,7 @@ shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -134,6 +134,20 @@ def _arcs_of(g: Graph, vertices: np.ndarray) -> np.ndarray:
     concatenated in the order of ``vertices``."""
     lengths = g.degrees[vertices]
     return np.repeat(g.offsets[vertices] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+
+
+def _arcs_between(g: Graph, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """:meth:`Graph.arc_between` of each (u, v) pair, found at once among the
+    arcs of the u's, so no arc-sized temporary is built."""
+    uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if ((uv >= 0) & (uv < g.n)).all():
+        u, v = uv.T
+        arcs = _arcs_of(g, u)
+        arcs = arcs[g.targets[arcs] == np.repeat(v, g.degrees[u])]
+        if arcs.size == u.size:
+            return arcs
+    # Some pair is not an edge: the per-pair lookup names the first.
+    return np.array([g.arc_between(u, v) for u, v in pairs], dtype=np.int64)
 
 
 class _EdgeError(ValueError):
@@ -279,30 +293,63 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         return False
 
     def try_pairing():
-        edges: set[tuple[int, int]] = set()
-        stubs = list(range(n)) * d
-        while stubs:
-            potential: dict[int, int] = defaultdict(int)
-            arr = np.array(stubs, dtype=np.int64)
+        # Each round shuffles its stubs and pairs them in order.  A pair
+        # (s1, s2), s1 <= s2, is accepted when it is not a self-loop and the
+        # first occurrence of an edge; the rejected stubs, counted in order
+        # of first appearance, make the next round.
+        #
+        # The first round holds all n*d stubs and no edge yet, so it is
+        # paired at once on arrays, by the edge key s1*n + s2.  Its key is
+        # a multiple of n + 1 exactly on a self-loop.
+        stubs = np.tile(np.arange(n, dtype=np.int64), d)
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        pairs.sort(axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        fresh &= keys % (n + 1) != 0
+        accepted = np.empty_like(fresh)
+        accepted[order] = fresh
+        keys = keys[fresh]
+        potential = Counter(pairs[~accepted].ravel().tolist())
+        if not potential:
+            return keys
+        # Later rounds hold only rejected stubs, a few dozen to a few hundred,
+        # too few to pay for a round's numpy calls: they are paired one by
+        # one, against the accepted edges among the first round's rejected
+        # vertices, the only pairs they and `suitable` can meet.
+        near = np.zeros(n, dtype=bool)
+        near[list(potential)] = True
+        lo, hi = pairs[accepted].T
+        inside = near[lo] & near[hi]
+        edges = set(zip(lo[inside].tolist(), hi[inside].tolist()))
+        later = []
+        while potential:
+            if not suitable(edges, potential):
+                return None
+            arr = np.fromiter(potential.elements(), dtype=np.int64)
             rng.shuffle(arr)
+            rejected = []
             it = iter(arr.tolist())
             for s1, s2 in zip(it, it):
                 if s1 > s2:
                     s1, s2 = s2, s1
                 if s1 != s2 and (s1, s2) not in edges:
                     edges.add((s1, s2))
+                    later.append(s1 * n + s2)
                 else:
-                    potential[s1] += 1
-                    potential[s2] += 1
-            if not suitable(edges, potential):
-                return None
-            stubs = [v for v, k in potential.items() for _ in range(k)]
-        return edges
+                    rejected += (s1, s2)
+            potential = Counter(rejected)
+        return np.sort(np.concatenate((keys, np.array(later, dtype=np.int64))))
 
     for _ in range(1000):
-        edges = try_pairing()
-        if edges is not None:
-            return build_graph(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), n)
+        keys = try_pairing()
+        if keys is not None:
+            return build_graph(np.stack(np.divmod(keys, n), axis=1), n)
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
@@ -453,27 +500,44 @@ def _parse_finite(text: str, what: str, where: str) -> float:
     return value
 
 
+def _token_counts(lines: list[str]) -> np.ndarray:
+    """How many tokens ``str.split()`` finds on each line, counted on arrays
+    when the lines are ASCII."""
+    text = "\n".join(lines)
+    if not text.isascii():
+        return np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = np.array([chr(c).isspace() for c in range(128)])[chars]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    # The joining newlines are the only line breaks left in the text.
+    line_of_token = np.searchsorted(np.flatnonzero(chars == ord("\n")), np.flatnonzero(starts))
+    return np.bincount(line_of_token, minlength=len(lines))
+
+
 def read_edge_list(path) -> Graph:
-    split = [line.split() for line in Path(path).read_text().splitlines()]
-    linenos = [lineno for lineno, row in enumerate(split, start=1) if row]
-    rows = [split[lineno - 1] for lineno in linenos]
-    if not rows or len(rows[0]) != 2:
+    lines = Path(path).read_text().splitlines()
+    counts = _token_counts(lines)
+    linenos = np.flatnonzero(counts) + 1
+    if not linenos.size or counts[linenos[0] - 1] != 2:
         raise ValueError(f"{path}: first line must be 'n m'")
-    n, m = (_parse_int(v, f"{path}:{linenos[0]}") for v in rows[0])
+    n, m = (_parse_int(v, f"{path}:{linenos[0]}") for v in lines[linenos[0] - 1].split())
     _check_vertex_count(n, f"{path}:{linenos[0]}: vertex count")
-    linenos, rows = linenos[1:], rows[1:]
-    if len(rows) != m:
-        raise ValueError(f"{path}: expected {m} edge lines, found {len(rows)}")
+    linenos = linenos[1:]
+    if linenos.size != m:
+        raise ValueError(f"{path}: expected {m} edge lines, found {linenos.size}")
     edges = None
-    if all(len(row) == 2 for row in rows):
+    if (counts[linenos - 1] == 2).all():
+        tokens = " ".join(lines).split()[2:]
         try:
-            edges = np.array(rows, dtype=np.int64).reshape(-1, 2)  # parses each token as int() does
+            edges = np.array(tokens, dtype=np.int64).reshape(-1, 2)  # parses each token as int() does
         except (ValueError, OverflowError):
             pass  # a bad integer, or one beyond int64: found line by line below
     if edges is None:
         edges = []
-        for lineno, row in zip(linenos, rows):
+        for lineno in linenos.tolist():
             where = f"{path}:{lineno}"
+            row = lines[lineno - 1].split()
             if len(row) != 2:
                 raise ValueError(f"{where}: malformed edge line {' '.join(row)!r}")
             edges.append((_parse_int(row[0], where), _parse_int(row[1], where)))

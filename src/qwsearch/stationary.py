@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Graph, MarkedComponent, _arcs_of, _parse_finite, _parse_int
+from .graphs import Graph, MarkedComponent, _arcs_between, _arcs_of, _parse_finite, _parse_int
 from .walk import WalkState, step
 
 __all__ = [
@@ -135,13 +135,26 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     return StationaryAssignment(comp, {e: float(c) for e, c in zip(edges, coeffs)})
 
 
+def _by_edge(coefficients: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
+    """The coefficients keyed by (i, j), i < j; an edge named twice, in
+    either orientation, raises ValueError."""
+    out: dict[tuple[int, int], float] = {}
+    for e, c in coefficients.items():
+        edge = tuple(sorted(int(v) for v in e))
+        if edge in out:
+            raise ValueError(f"coefficients name edge {edge} twice")
+        out[edge] = float(c)
+    return out
+
+
 def make_assignment(comp: MarkedComponent, coefficients: Mapping[tuple[int, int], float]) -> StationaryAssignment:
     """Wrap externally chosen coefficients, enforcing the vertex constraints.
 
-    The mapping must cover every internal edge of the component exactly; per-vertex
-    sums off by more than CONSTRAINT_TOL raise InfeasibleComponentError.
+    The mapping must name every internal edge of the component exactly once;
+    per-vertex sums off by more than CONSTRAINT_TOL raise
+    InfeasibleComponentError.
     """
-    coeffs = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
+    coeffs = _by_edge(coefficients)
     expected = set(comp.internal_edges)
     got = set(coeffs)
     if got != expected:
@@ -168,7 +181,7 @@ def assignments_from_coefficients(
     components: Sequence[MarkedComponent], coefficients: Mapping[tuple[int, int], float]
 ) -> list[StationaryAssignment]:
     """Split one flat edge->coefficient mapping across several components."""
-    remaining = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
+    remaining = _by_edge(coefficients)
     out = []
     for comp in components:
         sub = {}
@@ -230,11 +243,11 @@ def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkSt
     _require_disjoint(assignments)
     if g.arc_count == 0:
         raise ValueError("graph has no arcs")
+    arcs = _arcs_between(g, [e for asg in assignments for e in asg.coefficients])
+    values = [c for asg in assignments for c in asg.coefficients.values()]
     unscaled = np.ones(g.arc_count)
-    for asg in assignments:
-        for (i, j), c in asg.coefficients.items():
-            unscaled[g.arc_between(i, j)] = c
-            unscaled[g.arc_between(j, i)] = c
+    unscaled[arcs] = values
+    unscaled[g.reverse[arcs]] = values
     norm_sq = float(np.dot(unscaled, unscaled))
     if norm_sq == 0.0:
         raise _zero_state()

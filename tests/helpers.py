@@ -7,9 +7,10 @@ proof's device for the ceiling, kept here because only tests use it, as
 is the sphere ceiling it gives), and
 the plain-Python CSR builder (sorted adjacency lists, reverse arcs found
 through a dict) of the single sort ``build_graph`` takes its arrays from.
-The edge-list family builders, the pair-selection loop and the per-vertex
-coefficient check keep the straightforward formulations that the
-library's array code replaced, so the tests can require equal results.
+The edge-list family builders, the random-regular stub matching, the
+edge-list reader, the pair-selection loop and the per-vertex coefficient
+check keep the straightforward formulations that the library's array code
+replaced, so the tests can require equal results.
 ``SHIFT_GRAPHS`` are the port-major graphs the walk's row-sliced shift is
 checked on, against the plain port-major shift of :func:`port_major_shift`.
 """
@@ -17,6 +18,8 @@ checked on, against the plain port-major shift of :func:`port_major_shift`.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from qwsearch import (
     random_regular_graph,
     torus2d_graph,
 )
+from qwsearch.graphs import _check_vertex_count, _EdgeError, _parse_int
 
 # Port-major graphs for the shift's row slices: tori and cycles, whose small
 # members are mostly wrap-around fix-ups, and graphs that keep the gather.
@@ -172,6 +176,78 @@ def reference_csr(edges, n: int) -> dict[str, np.ndarray]:
     return {name: np.array(values, dtype=np.int64) for name, values in arrays.items()}
 
 
+def random_regular_oracle(n: int, d: int, seed: int) -> list[tuple[int, int]]:
+    """The sorted edges of ``random_regular_graph(n, d, seed)``, by stub
+    matching with every round paired one stub pair at a time in a Python set;
+    raises the generator's ValueError when 1000 pairings all fail."""
+    rng = np.random.default_rng(seed)
+
+    def suitable(edges, potential):
+        if not potential:
+            return True
+        for s1 in potential:
+            for s2 in potential:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_pairing():
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential: dict[int, int] = defaultdict(int)
+            arr = np.array(stubs, dtype=np.int64)
+            rng.shuffle(arr)
+            it = iter(arr.tolist())
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] += 1
+                    potential[s2] += 1
+            if not suitable(edges, potential):
+                return None
+            stubs = [v for v, k in potential.items() for _ in range(k)]
+        return edges
+
+    for _ in range(1000):
+        edges = try_pairing()
+        if edges is not None:
+            return sorted(edges)
+    raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
+
+
+def read_edge_list_oracle(path) -> Graph:
+    """``read_edge_list`` by a pass over the split lines: every token goes
+    through ``int()`` on its own and every error names its line."""
+    split = [line.split() for line in Path(path).read_text().splitlines()]
+    linenos = [lineno for lineno, row in enumerate(split, start=1) if row]
+    rows = [split[lineno - 1] for lineno in linenos]
+    if not rows or len(rows[0]) != 2:
+        raise ValueError(f"{path}: first line must be 'n m'")
+    n, m = (_parse_int(v, f"{path}:{linenos[0]}") for v in rows[0])
+    _check_vertex_count(n, f"{path}:{linenos[0]}: vertex count")
+    linenos, rows = linenos[1:], rows[1:]
+    if len(rows) != m:
+        raise ValueError(f"{path}: expected {m} edge lines, found {len(rows)}")
+    edges = []
+    for lineno, row in zip(linenos, rows):
+        where = f"{path}:{lineno}"
+        if len(row) != 2:
+            raise ValueError(f"{where}: malformed edge line {' '.join(row)!r}")
+        edges.append((_parse_int(row[0], where), _parse_int(row[1], where)))
+    try:
+        return build_graph(edges, n)
+    except _EdgeError as err:
+        raise ValueError(f"{path}:{linenos[err.index]}: {err}") from None
+
+
 def select_disjoint_pairs_oracle(g: Graph, k: int, seed: int) -> list[int]:
     """Pair selection over ``g.edge_list()`` tuples, with the seeded
     permutation and acceptance rule of ``experiments.select_disjoint_pairs``."""
@@ -198,8 +274,14 @@ def select_disjoint_pairs_oracle(g: Graph, k: int, seed: int) -> list[int]:
 def make_assignment_oracle(comp: MarkedComponent, coefficients, tol: float) -> dict[tuple[int, int], float]:
     """The checked coefficients of ``stationary.make_assignment``, with each
     vertex's sum taken by a scan over every coefficient; raises the same
-    InfeasibleComponentError at the first failing vertex."""
-    coeffs = {tuple(sorted(int(v) for v in e)): float(c) for e, c in coefficients.items()}
+    InfeasibleComponentError at the first failing vertex, and ValueError on
+    an edge named twice."""
+    coeffs = {}
+    for e, c in coefficients.items():
+        edge = tuple(sorted(int(v) for v in e))
+        if edge in coeffs:
+            raise ValueError(f"coefficients name edge {edge} twice")
+        coeffs[edge] = float(c)
     for v in comp.vertices:
         total = sum(c for e, c in coeffs.items() if v in e)
         required = -comp.outgoing_degree[v]

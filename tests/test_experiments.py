@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +379,23 @@ class TestRun:
         assert out.exit_code == EXIT_CHECK_FAILED
         assert out.message == message
         assert out.report["checks_passed"] is False and out.report["dominance"] is True
+
+    def test_stationary_state_is_freed_before_the_walk(self, tmp_path, monkeypatch):
+        real_build_state, real_evolve = experiments.build_state, experiments.evolve
+        built = []
+
+        def build_state(g, assignments):
+            state = real_build_state(g, assignments)
+            built.append(weakref.ref(state.amplitudes))
+            return state
+
+        def evolve(*args, **kwargs):
+            assert built and built[0]() is None, "the stationary state is still alive during the walk"
+            return real_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_state", build_state)
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        assert execute(fig_cycle_config(tmp_path), tmp_path / "out").exit_code == EXIT_OK
 
     def test_t_max_default_applied(self, tmp_path):
         cfg = write_config(tmp_path / "d.json", {

@@ -1,6 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qwsearch.walk as walk
 from qwsearch import (
@@ -15,17 +18,21 @@ from qwsearch import (
     write_edge_list,
 )
 from qwsearch.experiments import select_disjoint_pairs
+from qwsearch.graphs import _token_counts
 from qwsearch.walk import _coin_plan
 
 from helpers import (
     SHIFT_GRAPHS,
     brute_force_bipartite,
     port_major_shift,
+    random_regular_oracle,
     random_simple_graph,
+    read_edge_list_oracle,
     reference_csr,
     reference_family_graph,
     select_disjoint_pairs_oracle,
 )
+from test_cli_fuzz import edge_lists
 
 
 @st.composite
@@ -181,6 +188,22 @@ class TestGenerate:
         g1 = random_regular_graph(20, 3, seed=1)
         g2 = random_regular_graph(20, 3, seed=2)
         assert g1.edge_list() != g2.edge_list()
+
+    # Sparse requests, dense ones at d = n - 1, n - 2 and n - 3, and edgeless ones.
+    @pytest.mark.parametrize("n, d, seed", [
+        (1, 0, 0), (6, 0, 1), (6, 1, 0), (10, 2, 5), (10, 3, 7), (20, 3, 1), (200, 4, 3), (2000, 3, 1),
+        (1000, 10, 2), (9, 8, 0), (12, 10, 0), (14, 12, 1), (16, 13, 2), (20, 18, 3), (21, 18, 0), (26, 24, 1),
+        (32, 31, 0), (32, 30, 1),
+    ])
+    def test_random_regular_matches_the_stub_matching_oracle(self, n, d, seed):
+        assert random_regular_graph(n, d, seed).edge_list() == random_regular_oracle(n, d, seed)
+
+    def test_random_regular_fails_where_the_oracle_fails(self):
+        with pytest.raises(ValueError) as want:
+            random_regular_oracle(32, 30, 0)
+        with pytest.raises(ValueError) as got:
+            random_regular_graph(32, 30, 0)
+        assert str(got.value) == str(want.value) == "failed to sample a simple 30-regular graph on 32 vertices"
 
     @pytest.mark.parametrize(
         "family,params,match",
@@ -471,3 +494,69 @@ class TestEdgeListIO:
         again = read_edge_list(path)
         for name in ("offsets", "targets", "reverse", "degrees", "arc_source"):
             assert np.array_equal(getattr(again, name), getattr(g, name)), name
+
+
+def _read_outcome(read, path):
+    """The graph's arrays, or the type and message of what reading raised."""
+    try:
+        g = read(path)
+    except Exception as err:  # the oracle's outcome, whatever it is, must be matched
+        return type(err).__name__, str(err)
+    return g.n, [getattr(g, name).tolist() for name in ("offsets", "targets", "reverse", "degrees", "arc_source")]
+
+
+def assert_reads_as_the_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(text)
+        assert _read_outcome(read_edge_list, path) == _read_outcome(read_edge_list_oracle, path)
+
+
+# Pieces of edge-list text: digits in the forms int() takes, bad tokens,
+# ASCII spaces and line breaks, and non-ASCII ones.
+TEXT_PIECES = ["0", "1", "2", "4", "+", "-", "_", "x", "\u0663", " ", "  ", "\t", "\n", "\n", "\r", "\r\n",
+               "\v", "\f", "\x1c", "\x1f", "\x85", "\xa0", "\u2028"]
+
+
+class TestReadEdgeListMatchesOracle:
+    @pytest.mark.parametrize("text", [
+        "5 3\n+0 1_0\n",
+        "12 3\r\n+0 1_0\r\n\r\n 2\t3 \r\n\u0663 4  \r\n",
+        "\n\n5 2  \n\t0   1\t\n\n  1 2\n\n",
+        "5 2\n0\x1f1\n1 2",
+        "5 3\n0 1\v1 2\f2 3\n",
+        "5 2\n0\xa01\x851 2\u20282 3\n",
+        "5 2\n0 1\n1 2 3\n",
+        "5 2\n0\n1 2 3\n",
+        "5 2\n0 1\n\x1f\n1 2\n",
+        "5 2\n0 1\n\n1\n",
+        "5 2\n0 x\n1 2 3\n",
+        "5 2\n0 99999999999999999999\n1 2\n",
+        "5 2\n0 1\n1 0\n",
+        "5 2\n0 1\n",
+        "\n \n",
+        "5\n0 1\n",
+        "x 1\n0 1\n",
+        "-1 0\n",
+        "99999999999999999999 0\n",
+        "3 0\n",
+    ])
+    def test_token_forms_line_ends_and_malformed_lines(self, text):
+        assert_reads_as_the_oracle(text)
+
+    @settings(max_examples=200)
+    @given(edge_lists())
+    def test_fuzzed_edge_lists(self, text):
+        assert_reads_as_the_oracle(text)
+
+    @given(st.sampled_from(["", "5 2\n", "5 3\r\n", " 4 1 \n\n"]), st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
+    def test_random_text(self, header, pieces):
+        text = header + "".join(pieces)
+        lines = text.splitlines()
+        assert _token_counts(lines).tolist() == [len(line.split()) for line in lines]
+        assert_reads_as_the_oracle(text)
+
+    def test_valid_edge_list_reads_its_graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("12 3\r\n+0 1_0\r\n\r\n 2\t3 \r\n\u0663 4  \r\n")
+        assert read_edge_list(path).edge_list() == [(0, 10), (2, 3), (3, 4)]

@@ -8,6 +8,7 @@ import pytest
 from qwsearch import (
     InfeasibleComponentError,
     StationarityCheck,
+    StationaryAssignment,
     apply_coin,
     apply_query,
     assignments_from_coefficients,
@@ -222,6 +223,29 @@ class TestBuildState:
         assert state.amplitudes[torus16.arc_between(0, 1)] == pytest.approx(scale, rel=1e-12)
         assert abs(state.norm() - 1.0) <= 1e-12
 
+    def test_matches_arc_by_arc_assembly(self, torus16):
+        block, _, _ = block_coefficients(16, 2, 3, 16, 16)
+        block += [v + 4 for v in block] + [v + 64 for v in block]
+        assignments = [solve_min_norm(c) for c in marked_components(torus16, block + [200, 201])]
+        assert len(assignments) == 4
+        unscaled = np.ones(torus16.arc_count)
+        for asg in assignments:
+            for (i, j), c in asg.coefficients.items():
+                unscaled[torus16.arc_between(i, j)] = c
+                unscaled[torus16.arc_between(j, i)] = c
+        want = unscaled / math.sqrt(float(np.dot(unscaled, unscaled)))
+        assert np.array_equal(build_state(torus16, assignments).amplitudes, want)
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 2), "no edge between 0 and 2"),
+        ((0, 9), "vertex pair (0, 9) out of range for n=5"),
+    ])
+    def test_coefficient_off_the_graph_is_named(self, cycle5, edge, message):
+        comp = single_component(cycle5, {3, 4})
+        with pytest.raises(ValueError) as err:
+            build_state(cycle5, [StationaryAssignment(comp, {(3, 4): -1.0, edge: 1.0})])
+        assert str(err.value) == message
+
 
 class TestMakeAssignment:
     def test_wrong_edges_rejected(self, cycle5):
@@ -233,6 +257,18 @@ class TestMakeAssignment:
         comp = single_component(cycle5, {3, 4})
         with pytest.raises(InfeasibleComponentError, match="vertex 3"):
             make_assignment(comp, {(3, 4): 2.0})
+
+    @pytest.mark.parametrize("coefficients", [{(0, 1): -1.0, (1, 0): 5.0}, {(1, 0): -1.0, (0, 1): -1.0}])
+    def test_an_edge_named_twice_is_an_input_error(self, coefficients):
+        # Keying both orientations by the sorted edge kept the last value.
+        comp = single_component(cycle_graph(6), {0, 1})
+        for call in (lambda: make_assignment(comp, coefficients),
+                     lambda: assignments_from_coefficients([comp], coefficients),
+                     lambda: make_assignment_oracle(comp, coefficients, CONSTRAINT_TOL)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "coefficients name edge (0, 1) twice"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_coefficient_fails_the_vertex_check(self, cycle5, value):
