@@ -13,6 +13,7 @@ the minimum-norm assignment gives the tightest value in this family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,14 +64,21 @@ def total_bound(assignments: Sequence[StationaryAssignment]) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _eccentricity(g: Graph, source: int) -> tuple[int, int]:
-    """BFS level count from ``source`` and the farthest vertex reached."""
+# The default step budget's cap, and the least diameter estimate D with
+# 10 * D^2 at or above it: past that level the budget is the cap.
+_STEP_BUDGET_CAP = 10_000
+_CAP_DIAMETER = math.isqrt(-(-_STEP_BUDGET_CAP // 10) - 1) + 1
+
+
+def _eccentricity(g: Graph, source: int, limit: int) -> tuple[int, int]:
+    """BFS level count from ``source``, stopping at ``limit`` levels, and
+    the farthest vertex reached."""
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
     farthest = source
-    while frontier.size:
+    while level < limit:
         nbrs = g.targets[_arcs_of(g, frontier)]
         fresh = np.unique(nbrs[dist[nbrs] < 0])
         if fresh.size == 0:
@@ -82,19 +90,28 @@ def _eccentricity(g: Graph, source: int) -> tuple[int, int]:
     return level, farthest
 
 
+def _double_sweep(g: Graph, limit: int) -> int:
+    """:func:`estimate_diameter`, or ``limit`` once either sweep reaches it:
+    the second sweep starts at a farthest vertex of the first, so its
+    eccentricity is at least the first's."""
+    if g.n == 0 or g.arc_count == 0:
+        return 0
+    ecc, far = _eccentricity(g, int(np.argmax(g.degrees > 0)), limit)
+    if ecc < limit:
+        ecc, _ = _eccentricity(g, far, limit)
+    return ecc
+
+
 def estimate_diameter(g: Graph) -> int:
     """Double-sweep BFS estimate of the diameter (exact on trees and cycles,
     a lower bound in general; plenty for sizing step budgets).  The first
     sweep starts at the lowest vertex of positive degree: from an isolated
     vertex it would reach nothing."""
-    if g.n == 0 or g.arc_count == 0:
-        return 0
-    _, far = _eccentricity(g, int(np.argmax(g.degrees > 0)))
-    ecc, _ = _eccentricity(g, far)
-    return ecc
+    return _double_sweep(g, g.n)
 
 
 def default_step_budget(g: Graph) -> int:
-    """Default evolution length: 10 * diameter^2, capped at 10^4."""
-    diameter = estimate_diameter(g)
-    return max(1, min(10 * diameter * diameter, 10_000))
+    """Default evolution length: 10 * diameter^2, capped at 10^4.  The
+    sweeps stop at the least diameter that reaches the cap."""
+    diameter = _double_sweep(g, _CAP_DIAMETER)
+    return max(1, min(10 * diameter * diameter, _STEP_BUDGET_CAP))

@@ -300,15 +300,16 @@ def select_disjoint_pairs(g: Graph, k: int, seed: int) -> list[int]:
     if seed < 0:
         raise ValueError(f"marked.pairs needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    forward = g.arc_source < g.targets
-    us, vs = g.arc_source[forward], g.targets[forward]
-    order = rng.permutation(us.size)
+    sources = g.arc_source
+    forward = np.flatnonzero(sources < g.targets)
+    order = rng.permutation(forward.size)
     marked: set[int] = set()
     chosen = 0
     for i in order:
         if chosen == k:
             break
-        u, v = int(us[i]), int(vs[i])
+        arc = forward[i]
+        u, v = int(sources[arc]), int(g.targets[arc])
         if u in marked or v in marked:
             continue
         if any(w in marked for w in g.neighbors(u).tolist() + g.neighbors(v).tolist()):

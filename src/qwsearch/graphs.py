@@ -8,8 +8,8 @@ lists ascending makes arc indices (and everything built on them)
 reproducible across runs and platforms.
 
 Every graph, generated or read from a file, comes from :func:`build_graph`,
-which validates an edge array, sorts its arc keys once and takes all five
-arrays, the reverse-arc map included, from that one sort.
+which validates an edge array, sorts its arc keys once and takes all four
+stored arrays, the reverse-arc map included, from that one sort.
 
 Graphs and marked components are immutable after construction and can be
 shared freely between concurrent workers.
@@ -44,7 +44,8 @@ class Graph:
     """Immutable simple undirected graph with a global directed-arc index.
 
     Instances come from :func:`build_graph`, :func:`generate`, or
-    :func:`read_edge_list`.  All arrays are marked read-only.
+    :func:`read_edge_list`.  It stores four int64 arrays, 16 bytes per arc
+    plus 16 per vertex, all marked read-only.
 
     Attributes
     ----------
@@ -59,7 +60,8 @@ class Graph:
         Involution mapping each arc to the arc pointing back.
     degrees : ndarray, shape (n,)
     arc_source : ndarray, shape (2m,)
-        Tail vertex of each arc.
+        Tail vertex of each arc: derived from ``degrees`` on every read,
+        not stored, so a caller that reads it more than once holds on to it.
 
     ``_walk_plan`` is an opaque private slot: the walk fills it on the
     graph's first walk and reuses it on every later one.
@@ -71,20 +73,25 @@ class Graph:
         "targets",
         "reverse",
         "degrees",
-        "arc_source",
         "_walk_plan",
     )
 
-    def __init__(self, n, offsets, targets, reverse, degrees, arc_source):
+    def __init__(self, n, offsets, targets, reverse, degrees):
         self.n = int(n)
         self.offsets = offsets
         self.targets = targets
         self.reverse = reverse
         self.degrees = degrees
-        self.arc_source = arc_source
-        for arr in (offsets, targets, reverse, degrees, arc_source):
+        for arr in (offsets, targets, reverse, degrees):
             arr.setflags(write=False)
         self._walk_plan = None
+
+    @property
+    def arc_source(self) -> np.ndarray:
+        """Tail vertex of each arc (a new read-only array on every read)."""
+        sources = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        sources.setflags(write=False)
+        return sources
 
     @property
     def arc_count(self) -> int:
@@ -122,8 +129,9 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        mask = self.arc_source < self.targets
-        return list(zip(self.arc_source[mask].tolist(), self.targets[mask].tolist()))
+        sources = self.arc_source
+        mask = sources < self.targets
+        return list(zip(sources[mask].tolist(), self.targets[mask].tolist()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -175,8 +183,10 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     except OverflowError:  # an endpoint beyond int64, which the range check names
         e = np.asarray(edges, dtype=object).reshape(-1, 2)
     u, v = e[:, 0], e[:, 1]
-    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if bad.any():
+    # Three reductions tell whether any edge is bad; the masks that name
+    # the first one are built only then.
+    if e.size and (e.min() < 0 or e.max() >= n or (u == v).any()):
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
         i = int(bad.argmax())
         a, b = int(u[i]), int(v[i])
         if a == b:
@@ -188,7 +198,6 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     degrees = np.bincount(e.reshape(-1), minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    arc_source = np.repeat(np.arange(n, dtype=np.int64), degrees)
     # Arc i < m runs u[i] -> v[i] and arc i + m runs v[i] -> u[i]; sorting
     # their keys src * n + dst once gives the CSR order of every array.
     keys = np.empty(2 * m, dtype=np.int64)
@@ -198,20 +207,22 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     keys[m:] += u
     order = np.argsort(keys, kind="stable")
     targets = keys[order]
-    same = targets[1:] == targets[:-1]
-    if same.any():
-        a, b = sorted(divmod(int(targets[same.argmax()]), n))
+    if (targets[1:] == targets[:-1]).any():
+        a, b = sorted(divmod(int(targets[np.argmax(targets[1:] == targets[:-1])]), n))
         again = np.flatnonzero((np.minimum(u, v) == a) & (np.maximum(u, v) == b))[1]
         raise _EdgeError(int(again), f"duplicate edge ({a}, {b})")
     np.remainder(targets, n, out=targets)
     # Input arcs j and j + m (mod 2m) are each other's reverse.  With
     # position the inverse of order, the arc at sorted position i has its
-    # reverse at position[order[i] - m], the index wrapped mod 2m.
-    position = keys  # the unsorted keys are no longer needed
-    position[order] = np.arange(2 * m, dtype=np.int64)
+    # reverse at position[order[i] - m], the index wrapped mod 2m.  The
+    # unsorted keys hold position and the arange holds the reverse map, so
+    # the build peaks at four arc-sized arrays.
+    position = keys
+    reverse = np.arange(2 * m, dtype=np.int64)
+    position[order] = reverse
     order -= m
-    reverse = np.take(position, order, mode="wrap")
-    return Graph(n, offsets, targets, reverse, degrees, arc_source)
+    np.take(position, order, out=reverse, mode="wrap")
+    return Graph(n, offsets, targets, reverse, degrees)
 
 
 def _check_vertex_count(n: int, where: str = "vertex count") -> None:

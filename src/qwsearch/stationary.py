@@ -251,7 +251,8 @@ def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkSt
     norm_sq = float(np.dot(unscaled, unscaled))
     if norm_sq == 0.0:
         raise _zero_state()
-    return WalkState(unscaled / math.sqrt(norm_sq), g)
+    unscaled /= math.sqrt(norm_sq)
+    return WalkState(unscaled, g)
 
 
 @dataclass(frozen=True)
@@ -292,18 +293,25 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
         raise ValueError("state lives on a different graph")
     marked_set = {int(v) for v in marked}
     amps = state.amplitudes
-    # The two state-sized measures are reduced in place in the one-step
-    # image, which this function owns, so they add no state-sized temporary.
-    # np.take's default mode would buffer a copy; step's coin plan build
-    # has checked the reverse map's range.
+    # The three state-sized measures are reduced in place in the buffer of
+    # the one-step image, which this function owns.  np.take's default mode
+    # would buffer a copy; step's coin plan build has checked the reverse
+    # map's range.
     work = step(state, marked_set).amplitudes
-    residual = mismatch = 0.0
+    residual = mismatch = spread = 0.0
     if amps.size:
         residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
         np.subtract(amps, np.take(amps, g.reverse, out=work, mode="wrap"), out=work)
         mismatch = float(np.abs(work, out=work).max())
-    unmarked = np.delete(amps, _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64)))
-    spread = float(unmarked.max() - unmarked.min()) if unmarked.size else 0.0
+    marked_arcs = _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64))
+    if marked_arcs.size < amps.size:
+        # The unmarked amplitudes' max and min: the marked arcs hold -inf,
+        # which moves no max, then +inf, which moves no min.  A NaN wins both.
+        np.copyto(work, amps)
+        work[marked_arcs] = -np.inf
+        top = work.max()
+        work[marked_arcs] = np.inf
+        spread = float(top - work.min())
     vertex_sum = 0.0
     for v in marked_set:
         vertex_sum = max(vertex_sum, abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())))

@@ -538,4 +538,6 @@ def read_state_snapshot(g: Graph, path) -> WalkState:
         amps[arc] = _parse_finite(parts[2], "amplitude", where)
     if not seen.all():
         raise ValueError(f"{path}: has {int(seen.sum())} arcs, graph has {g.arc_count}")
+    if not amps.any():  # every measure of the zero state is 0, so it would pass any check
+        raise ValueError(f"{path}: every amplitude is zero")
     return WalkState(amps, g)

@@ -101,22 +101,24 @@ def dense_step_matrix(g: Graph, marked) -> np.ndarray:
     return dense_shift(g) @ dense_coin(g) @ dense_query(g, marked)
 
 
-def reference_coin(g: Graph, amps: np.ndarray) -> np.ndarray:
-    """The coin as one np.add.reduceat over each non-isolated vertex's arcs,
-    scaled by 2/degree and broadcast back by rank: the arithmetic every
-    coin plan of the step kernel must reproduce bit for bit."""
+def reference_coin_of(g: Graph):
+    """The coin as a function of the amplitudes: one np.add.reduceat over
+    each non-isolated vertex's arcs, scaled by 2/degree and broadcast back
+    by rank, the arithmetic every coin plan of the step kernel must
+    reproduce bit for bit.  Its index arrays are built once, here."""
     positive = g.degrees > 0
-    rank = np.cumsum(positive) - 1
-    sums = np.add.reduceat(amps, g.offsets[:-1][positive])
-    return (sums * (2.0 / g.degrees[positive]))[rank[g.arc_source]] - amps
+    starts, scale = g.offsets[:-1][positive], 2.0 / g.degrees[positive]
+    rank = (np.cumsum(positive) - 1)[g.arc_source]
+    return lambda amps: (np.add.reduceat(amps, starts) * scale)[rank] - amps
 
 
 def reference_evolve(g: Graph, amps: np.ndarray, marked, t_max: int) -> tuple[list[float], np.ndarray]:
     """Marked probability at steps 0..t_max and the final amplitudes, from a
-    plain loop of query, :func:`reference_coin` and reverse-arc gather."""
+    plain loop of query, :func:`reference_coin_of` and reverse-arc gather."""
     idx = np.array(
         [arc for v in sorted(set(marked)) for arc in range(g.offsets[v], g.offsets[v + 1])], dtype=np.int64
     )
+    coin = reference_coin_of(g)
     amps = amps.copy()
 
     def mass() -> float:
@@ -126,7 +128,7 @@ def reference_evolve(g: Graph, amps: np.ndarray, marked, t_max: int) -> tuple[li
     seen = [mass()]
     for _ in range(t_max):
         amps[idx] = -amps[idx]
-        amps = reference_coin(g, amps)[g.reverse]
+        amps = coin(amps)[g.reverse]
         seen.append(mass())
     return seen, amps
 

@@ -17,6 +17,7 @@ from qwsearch import (
     torus2d_graph,
     total_bound,
 )
+from qwsearch import bounds
 from qwsearch.experiments import select_disjoint_pairs
 
 from helpers import (
@@ -271,6 +272,31 @@ class TestDiameterAndBudget:
     def test_budget_cap(self):
         assert default_step_budget(cycle_graph(10)) == 250
         assert default_step_budget(cycle_graph(500)) == 10_000
+
+    @pytest.mark.parametrize("build", [
+        lambda: cycle_graph(62),  # diameter 31: 9610 steps, below the cap
+        lambda: cycle_graph(64),  # diameter 32, the least that reaches the cap
+        lambda: cycle_graph(66),
+        lambda: torus2d_graph(3, 3),
+        lambda: torus2d_graph(40, 22),
+        lambda: torus2d_graph(64, 64),
+        lambda: random_regular_graph(60, 3, 1),
+        lambda: random_regular_graph(2000, 3, 5),
+        lambda: build_graph([(v, v + 1) for v in range(1, 70)] + [(80, 81)], 90),
+        lambda: build_graph([(v, v + 1) for v in range(2, 40)], 45),
+    ], ids=["cycle62", "cycle64", "cycle66", "torus3", "torus40x22", "torus64", "rr60", "rr2000",
+            "path70_isolated", "path38_isolated"])
+    def test_budget_is_the_capped_square_of_the_estimate(self, build):
+        g = build()
+        assert default_step_budget(g) == max(1, min(10 * estimate_diameter(g) ** 2, 10_000))
+
+    def test_budget_stops_its_sweeps_at_the_cap(self, monkeypatch):
+        g = torus2d_graph(512, 512)  # diameter 512
+        calls = []
+        arcs_of = bounds._arcs_of
+        monkeypatch.setattr(bounds, "_arcs_of", lambda g, v: calls.append(v.size) or arcs_of(g, v))
+        assert default_step_budget(g) == 10_000
+        assert len(calls) <= 32
 
     def test_an_isolated_vertex_0_does_not_cut_the_budget(self):
         # A 9-vertex path on vertices 1..9, then the same path on 0..8.

@@ -844,6 +844,19 @@ class TestCli:
         assert code == EXIT_CHECK_FAILED
         assert "failed: marked vertex amplitudes do not sum to zero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("graph, snapshot", [
+        ("4 2\n0 1\n2 3\n", "0 0 0.0\n1 0 0.0\n2 0 0.0\n3 0 0.0\n"),
+        ("4 2\n0 1\n2 3\n", "0 0 -0.0\n1 0 0.0\n2 0 0e5\n3 0 -0\n"),
+        ("3 0\n", ""),
+    ], ids=["zeros", "signed_zeros", "arcless"])
+    def test_verify_rejects_a_zero_state(self, tmp_path, capsys, graph, snapshot):
+        # Every measure of the zero state is 0: it must not pass as stationary.
+        (tmp_path / "g.txt").write_text(graph)
+        (tmp_path / "s.txt").write_text(snapshot)
+        assert main(["verify", str(tmp_path / "g.txt"), "0", str(tmp_path / "s.txt")]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {tmp_path / 's.txt'}: every amplitude is zero\n")
+
     @pytest.mark.parametrize("reader, bad, problem", [
         ("edge_list", "5 5\n0 1\n0 x\n1 2\n2 3\n3 4\n", "3: bad integer 'x'"),
         ("snapshot", "0 0 0.5\nx 1 0.5\n", "2: bad integer 'x'"),

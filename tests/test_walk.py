@@ -41,7 +41,7 @@ from helpers import (
     dense_step_matrix,
     random_simple_graph,
     random_unit_state_vector,
-    reference_coin,
+    reference_coin_of,
     reference_evolve,
 )
 
@@ -75,8 +75,9 @@ class TestQuery:
     def test_flips_marked_arcs(self, cycle5):
         s = apply_query(initial_state(cycle5), {3, 4})
         a = 1.0 / math.sqrt(10)
+        sources = cycle5.arc_source
         for arc in range(10):
-            v = int(cycle5.arc_source[arc])
+            v = int(sources[arc])
             expected = -a if v in (3, 4) else a
             assert s.amplitudes[arc] == expected
 
@@ -339,9 +340,10 @@ def assert_runs_tile_the_layout(g, plan):
     ends = [start + arcs.size for start, arcs in runs]
     assert [start for start, _ in runs] == [0] + ends[:-1] and ends[-1] == g.arc_count
     assert all(np.all(np.diff(arcs) > 0) for _, arcs in runs)
+    sources = g.arc_source
     for start, arcs in runs:  # a block's positions hold its degree's arcs, the segment the rest
         d = next((d for d, first, width in plan.blocks if first <= start < first + d * width), None)
-        degrees = g.degrees[g.arc_source[arcs]]
+        degrees = g.degrees[sources[arcs]]
         assert np.all(degrees == d) if d else np.all(degrees > walk._PORT_MAJOR_MAX_DEGREE)
     assert np.array_equal(np.sort(np.concatenate([arcs for _, arcs in runs])), np.arange(g.arc_count))
     segment_arcs = g.degrees[g.degrees > walk._PORT_MAJOR_MAX_DEGREE].sum()
@@ -361,7 +363,7 @@ def test_runs_of_a_few_vertices_match_the_reference(name, monkeypatch):
     assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
     assert out.amplitudes.tobytes() == ref_amps.tobytes()
     assert step(WalkState(amps, g), marked).amplitudes.tobytes() == reference_evolve(g, amps, marked, 1)[1].tobytes()
-    assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
+    assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin_of(g)(amps).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -383,7 +385,7 @@ class TestStepKernel:
 
     def test_apply_coin_matches_reference(self, name):
         g, amps, _ = kernel_case(name)
-        assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
+        assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin_of(g)(amps).tobytes()
 
     def test_nan_is_caught_by_drift_guard(self, name):
         g, amps, marked = kernel_case(name)
@@ -551,7 +553,7 @@ class TestBlockedStep:
         g, amps, marked, *_ = blocked(name)
         state = WalkState(amps, g)
         assert step(state, marked).amplitudes.tobytes() == reference_evolve(g, amps, marked, 1)[1].tobytes()
-        assert apply_coin(state).amplitudes.tobytes() == reference_coin(g, amps).tobytes()
+        assert apply_coin(state).amplitudes.tobytes() == reference_coin_of(g)(amps).tobytes()
 
     def test_nan_in_one_block_stops_at_its_step(self, blocked, monkeypatch):
         g, amps, marked, *_ = blocked("torus7x9")  # 8 blocks
@@ -672,7 +674,7 @@ class TestCoinPlan:
         g = build()
         reverse = g.reverse.copy()
         reverse[0] = g.arc_count
-        bad = Graph(g.n, g.offsets, g.targets, reverse, g.degrees, g.arc_source)
+        bad = Graph(g.n, g.offsets, g.targets, reverse, g.degrees)
         # The plan build checks the range before any kernel gathers with mode="wrap".
         with pytest.raises(ValueError, match="outside the arc range"):
             step(initial_state(bad), [0])
@@ -734,6 +736,17 @@ class TestSnapshotIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="duplicate arc"):
             read_state_snapshot(cycle5, path)
+
+    def test_zero_state_rejected(self, tmp_path, cycle5):
+        path = tmp_path / "zero.txt"
+        write_state_snapshot(WalkState(np.zeros(cycle5.arc_count), cycle5), path)
+        with pytest.raises(ValueError, match="every amplitude is zero"):
+            read_state_snapshot(cycle5, path)
+        # One nonzero amplitude is a state to check, however far from unit.
+        amps = np.zeros(cycle5.arc_count)
+        amps[3] = 1e-300
+        write_state_snapshot(WalkState(amps, cycle5), path)
+        assert np.array_equal(read_state_snapshot(cycle5, path).amplitudes, amps)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_amplitude_rejected(self, tmp_path, cycle5, value):
