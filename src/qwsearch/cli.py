@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import experiments
@@ -146,10 +147,8 @@ def _cmd_verify(args) -> int:
     marked = _parse_marked(args.marked)
     state = read_state_snapshot(g, args.snapshot)
     check = verify_stationary(g, marked, state)
-    print(f"residual {check.residual:.17e}")
-    print(f"unmarked_amplitude_spread {check.unmarked_amplitude_spread:.17e}")
-    print(f"max_marked_vertex_sum {check.max_marked_vertex_sum:.17e}")
-    print(f"max_reverse_mismatch {check.max_reverse_mismatch:.17e}")
+    for name, value in asdict(check).items():
+        print(f"{name} {value:.17e}")
     for failure in check.failed_conditions:
         print(f"failed: {failure}")
     return experiments.EXIT_OK if check.is_stationary else experiments.EXIT_CHECK_FAILED

@@ -54,7 +54,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -66,6 +66,7 @@ from .stationary import (
     CONSTRAINT_TOL,
     RESIDUAL_LIMIT,
     InfeasibleComponentError,
+    StationarityCheck,
     assignments_from_coefficients,
     build_state,
     exists_stationary,
@@ -103,8 +104,8 @@ EXIT_CHECK_FAILED = 3
 # Numerical slack for the dominance verdict.
 DOMINANCE_SLACK = 1e-9
 
-# Largest explicit step count: 100 times the default budget's cap.  Every
-# step's CSV row is held in memory until the run ends.
+# Largest explicit step count: 100 times the default budget's cap.  A run
+# holds one float per step until it writes the CSV.
 T_MAX_LIMIT = 10**6
 
 # Each family's config keys are its generator's parameters, in order.
@@ -405,16 +406,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
     report_bounds = bounds_mod.total_bound(assignments)
 
     t_max = cfg.t_max if cfg.t_max is not None else bounds_mod.default_step_budget(g)
-    rows: list[tuple[int, float]] = []
-    best_p, best_t = -1.0, 0
-
-    def observe(t: int, p: float) -> None:
-        nonlocal best_p, best_t
-        rows.append((t, p))
-        if p > best_p:
-            best_p, best_t = p, t
-
-    evolve(initial_state(g), marked, t_max, observer=observe)
+    series = np.empty(t_max + 1)  # the marked probability after step t
+    evolve(initial_state(g), marked, t_max, observer=series.__setitem__)
+    best_t = int(series.argmax())  # the first step of the largest value
+    best_p = float(series[best_t])
 
     dominance = best_p <= report_bounds.total_bound + DOMINANCE_SLACK
     checks_passed = dominance and check.is_stationary
@@ -436,15 +431,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
             for c, a, e, b in zip(comps, assignments, existence, report_bounds.per_component)
         ],
         "stationarity": {
-            "residual": check.residual,
-            "unmarked_amplitude_spread": check.unmarked_amplitude_spread,
-            "max_marked_vertex_sum": check.max_marked_vertex_sum,
-            "max_reverse_mismatch": check.max_reverse_mismatch,
+            **asdict(check),
             "failed_conditions": list(check.failed_conditions),
             "stationary_probability": stationary_p,
         },
         "bound_total": report_bounds.total_bound,
-        "p_initial": rows[0][1],
+        "p_initial": float(series[0]),
         "observed_max_p": best_p,
         "observed_argmax_t": best_t,
         "margin": report_bounds.total_bound - best_p,
@@ -454,9 +446,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
 
     csv_path = out_dir / cfg.csv_name
     json_path = out_dir / cfg.report_name
-    csv_lines = ["t,p_marked"]
-    csv_lines.extend(f"{t},{p:.17g}" for t, p in rows)
-    csv_path.write_text("\n".join(csv_lines) + "\n")
+    with csv_path.open("w") as csv_file:
+        csv_file.write("t,p_marked\n")
+        for t, p in enumerate(series.tolist()):
+            csv_file.write(f"{t},{p:.17g}\n")
     json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     if checks_passed:
@@ -626,10 +619,7 @@ REPORT_SCHEMA = _object_schema(
         bound={"type": "number"},
     )},
     stationarity=_object_schema(
-        residual={"type": "number"},
-        unmarked_amplitude_spread={"type": "number"},
-        max_marked_vertex_sum={"type": "number"},
-        max_reverse_mismatch={"type": "number"},
+        **{measure.name: {"type": "number"} for measure in fields(StationarityCheck)},
         failed_conditions={"type": "array", "items": {"type": "string"}},
         stationary_probability={"type": "number"},
     ),

@@ -342,3 +342,28 @@ def test_criterion_10_no_speed_up_across_sizes():
                 assert single >= 10 * observed["pair"]
         for values in scaled.values():
             assert max(values) - min(values) <= 1e-12
+
+
+def test_criterion_10_no_speed_up_on_random_regular_graphs():
+    """The same "no speed-up" on a non-lattice family, random 3-regular
+    graphs: N times the ceiling of an adjacent marked pair stays constant
+    and N times its observed maximum stays flat, while a single marked
+    vertex keeps a near-constant chance, so it beats the pair by a factor
+    that grows like N."""
+    with criterion(10, "random 3-regular pair ceiling scales as 1/N; a single vertex beats it N/64 times", 20.0):
+        scaled_ceilings, scaled_observed = [], []
+        for n in (256, 1024, 4096):
+            g = random_regular_graph(n, 3, 7)
+            t_max = min(int(80 * math.sqrt(n)), 10**4)
+            pair = [0, int(g.neighbors(0)[0])]
+            ceiling = total_bound([solve_min_norm(c) for c in marked_components(g, pair)]).total_bound
+            observed = max_marked_probability_oracle(g, pair, t_max)
+            single = max_marked_probability_oracle(g, {0}, t_max)
+            print(f"  n={n} pair: N*ceiling {n * ceiling:.12f}, N*max p {n * observed:.3f}; "
+                  f"single vertex: max p {single:.4f}, {single / observed:.1f}x the pair")
+            assert observed < ceiling
+            assert single >= n / 64 * observed
+            scaled_ceilings.append(n * ceiling)
+            scaled_observed.append(n * observed)
+        assert max(scaled_ceilings) - min(scaled_ceilings) <= 1e-12
+        assert all(abs(value - scaled_observed[0]) <= 0.05 * scaled_observed[0] for value in scaled_observed)

@@ -397,6 +397,21 @@ class TestRun:
         monkeypatch.setattr(experiments, "evolve", evolve)
         assert execute(fig_cycle_config(tmp_path), tmp_path / "out").exit_code == EXIT_OK
 
+    def test_a_tied_maximum_is_reported_at_its_first_step(self, tmp_path, monkeypatch):
+        series = [0.25, 0.375, 0.125, 0.375, 0.0]
+
+        def evolve(state, marked, t_max, observer):
+            for t, p in enumerate(series[: t_max + 1]):
+                observer(t, p)
+            return state
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        out = execute(fig_cycle_config(tmp_path), tmp_path / "out", t_max=4)
+        assert out.exit_code == EXIT_OK
+        r = out.report
+        assert (r["p_initial"], r["observed_max_p"], r["observed_argmax_t"]) == (0.25, 0.375, 1)
+        assert out.csv_path.read_text() == "t,p_marked\n0,0.25\n1,0.375\n2,0.125\n3,0.375\n4,0\n"
+
     def test_t_max_default_applied(self, tmp_path):
         cfg = write_config(tmp_path / "d.json", {
             "graph": {"family": "cycle", "n": 6},
@@ -842,7 +857,14 @@ class TestCli:
         write_state_snapshot(initial_state(g), tmp_path / "state.txt")
         code = main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "state.txt")])
         assert code == EXIT_CHECK_FAILED
-        assert "failed: marked vertex amplitudes do not sum to zero" in capsys.readouterr().out
+        # One line per StationarityCheck field, in field order, then each failure.
+        assert capsys.readouterr().out == (
+            "residual 6.32455532033675882e-01\n"
+            "unmarked_amplitude_spread 0.00000000000000000e+00\n"
+            "max_marked_vertex_sum 6.32455532033675882e-01\n"
+            "max_reverse_mismatch 0.00000000000000000e+00\n"
+            "failed: marked vertex amplitudes do not sum to zero\n"
+        )
 
     @pytest.mark.parametrize("graph, snapshot", [
         ("4 2\n0 1\n2 3\n", "0 0 0.0\n1 0 0.0\n2 0 0.0\n3 0 0.0\n"),

@@ -1,13 +1,15 @@
-"""Set-up holds no arc-sized array it then throws away.
+"""Set-up holds no arc-sized array it then throws away, and a run holds a
+few bytes per step.
 
 Each test traces one call with ``tracemalloc``, which numpy reports its
-array buffers to, on a 256x256 torus (2^18 arcs, so one arc-sized int64 or
-float64 array is 2 MB).  ``SMALL`` covers what is not arc- or vertex-sized:
-the marked arcs, index lists, Python objects.
+array buffers to.  The set-up tests run on a 256x256 torus (2^18 arcs, so
+one arc-sized int64 or float64 array is 2 MB).  ``SMALL`` covers what is
+not arc- or vertex-sized: the marked arcs, index lists, Python objects.
 """
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from qwsearch import build_graph, build_state, marked_components, solve_min_norm, torus2d_graph, verify_stationary
 from qwsearch import stationary, walk
+from qwsearch.experiments import EXIT_OK, execute
 
 L = 256
 SMALL = 64 * 1024
@@ -88,3 +91,15 @@ def test_verify_stationary_adds_nothing_to_its_step(monkeypatch, torus, block_st
     # arc-sized temporary is np.take's copy of the read-only reverse map.
     assert peak_after_step - step_held[0] <= 8 * torus.arc_count + SMALL
     assert check.is_stationary
+
+
+def test_a_run_holds_a_few_bytes_per_step(tmp_path):
+    t_max = 10**4  # the run's fixed cost is about 5 bytes per step here
+    config = tmp_path / "pair.json"
+    config.write_text(json.dumps({"graph": {"family": "cycle", "n": 5}, "marked": {"vertices": [3, 4]}, "t_max": t_max}))
+    execute(config, tmp_path / "warm-up")
+    outcome, peak, _ = traced(execute, config, tmp_path / "out")
+    assert outcome.exit_code == EXIT_OK
+    # The series of p_t is 8 bytes per step; writing the CSV adds its floats
+    # as a list, another 32.
+    assert peak <= 64 * t_max
