@@ -18,7 +18,7 @@ shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -274,11 +274,18 @@ def complete_graph(n: int) -> Graph:
     return build_graph(np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64, copy=False), n)
 
 
+# Stub pairings random_regular_graph tries before it gives up.
+_PAIRING_ATTEMPTS = 1000
+
+
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish simple d-regular graph, deterministic for a given seed.
 
-    Stub-matching with an early dead-end check (adapted from the standard
-    NetworkX procedure).  Raises ValueError when 1000 pairings all fail.
+    Stub matching with an early dead-end check (adapted from the standard
+    NetworkX procedure).  A dense request, d > (n - 1) / 2, samples the
+    sparse (n - 1 - d)-regular graph from the same seed and returns its
+    complement, which is uniform whenever that sample is.  Raises
+    ValueError when 1000 pairings all fail.
     """
     if not 0 <= d < n:
         raise ValueError(f"random_regular needs 0 <= d < n, got d={d}, n={n}")
@@ -288,78 +295,61 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"random_regular needs seed >= 0, got {seed}")
     _check_vertex_count(n)
     rng = np.random.default_rng(seed)
+    dense = 2 * d > n - 1
 
     def suitable(edges, potential):
-        # True if a legal pairing of the leftover stubs can still exist.
-        if not potential:
-            return True
+        # True if a legal pairing of the leftover stubs can still exist;
+        # edges holds the accepted keys, ascending.
         for s1 in potential:
             for s2 in potential:
                 if s1 == s2:
                     break
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if (s1, s2) not in edges:
+                key = s1 * n + s2
+                at = edges.searchsorted(key)
+                if at == edges.size or edges[at] != key:
                     return True
         return False
 
     def try_pairing():
         # Each round shuffles its stubs and pairs them in order.  A pair
-        # (s1, s2), s1 <= s2, is accepted when it is not a self-loop and the
-        # first occurrence of an edge; the rejected stubs, counted in order
-        # of first appearance, make the next round.
-        #
-        # The first round holds all n*d stubs and no edge yet, so it is
-        # paired at once on arrays, by the edge key s1*n + s2.  Its key is
-        # a multiple of n + 1 exactly on a self-loop.
-        stubs = np.tile(np.arange(n, dtype=np.int64), d)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        pairs.sort(axis=1)
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        fresh = np.empty(keys.size, dtype=bool)
-        fresh[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        fresh &= keys % (n + 1) != 0
-        accepted = np.empty_like(fresh)
-        accepted[order] = fresh
-        keys = keys[fresh]
-        potential = Counter(pairs[~accepted].ravel().tolist())
-        if not potential:
-            return keys
-        # Later rounds hold only rejected stubs, a few dozen to a few hundred,
-        # too few to pay for a round's numpy calls: they are paired one by
-        # one, against the accepted edges among the first round's rejected
-        # vertices, the only pairs they and `suitable` can meet.
-        near = np.zeros(n, dtype=bool)
-        near[list(potential)] = True
-        lo, hi = pairs[accepted].T
-        inside = near[lo] & near[hi]
-        edges = set(zip(lo[inside].tolist(), hi[inside].tolist()))
-        later = []
-        while potential:
-            if not suitable(edges, potential):
+        # (s1, s2), s1 <= s2, is accepted when its edge key s1*n + s2 is not
+        # a multiple of n + 1 (a self-loop), is the key's first occurrence
+        # in the round, and is not an edge already; the rejected stubs,
+        # counted in order of first appearance, make the next round.
+        stubs = np.tile(np.arange(n, dtype=np.int64), n - 1 - d if dense else d)
+        edges = np.empty(0, dtype=np.int64)  # the accepted keys, ascending
+        while stubs.size:
+            rng.shuffle(stubs)
+            pairs = stubs.reshape(-1, 2)
+            pairs.sort(axis=1)
+            keys = pairs[:, 0] * n + pairs[:, 1]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            fresh = np.empty(keys.size, dtype=bool)
+            fresh[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            fresh &= keys % (n + 1) != 0
+            at = np.searchsorted(edges, keys)
+            fresh &= at == np.searchsorted(edges, keys, side="right")
+            edges = np.insert(edges, at[fresh], keys[fresh])
+            accepted = np.empty_like(fresh)
+            accepted[order] = fresh
+            left, first, counts = np.unique(pairs[~accepted], return_index=True, return_counts=True)
+            by_first = np.argsort(first)
+            left, counts = left[by_first], counts[by_first]
+            stubs = np.repeat(left, counts)
+            if stubs.size and not suitable(edges, left.tolist()):
                 return None
-            arr = np.fromiter(potential.elements(), dtype=np.int64)
-            rng.shuffle(arr)
-            rejected = []
-            it = iter(arr.tolist())
-            for s1, s2 in zip(it, it):
-                if s1 > s2:
-                    s1, s2 = s2, s1
-                if s1 != s2 and (s1, s2) not in edges:
-                    edges.add((s1, s2))
-                    later.append(s1 * n + s2)
-                else:
-                    rejected += (s1, s2)
-            potential = Counter(rejected)
-        return np.sort(np.concatenate((keys, np.array(later, dtype=np.int64))))
+        return edges
 
-    for _ in range(1000):
+    for _ in range(_PAIRING_ATTEMPTS):
         keys = try_pairing()
         if keys is not None:
+            if dense:
+                u, v = np.triu_indices(n, 1)
+                keys = np.setdiff1d(u * n + v, keys, assume_unique=True)
             return build_graph(np.stack(np.divmod(keys, n), axis=1), n)
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 

@@ -178,11 +178,14 @@ def reference_csr(edges, n: int) -> dict[str, np.ndarray]:
     return {name: np.array(values, dtype=np.int64) for name, values in arrays.items()}
 
 
-def random_regular_oracle(n: int, d: int, seed: int) -> list[tuple[int, int]]:
+def random_regular_oracle(n: int, d: int, seed: int, attempts: int = 1000) -> list[tuple[int, int]]:
     """The sorted edges of ``random_regular_graph(n, d, seed)``, by stub
-    matching with every round paired one stub pair at a time in a Python set;
-    raises the generator's ValueError when 1000 pairings all fail."""
+    matching with every round paired one stub pair at a time in a Python set.
+    A dense request, d > (n - 1) / 2, gives the complement of the
+    (n - 1 - d)-regular matching from the same seed.  Raises the generator's
+    ValueError when ``attempts`` pairings all fail."""
     rng = np.random.default_rng(seed)
+    dense = 2 * d > n - 1
 
     def suitable(edges, potential):
         if not potential:
@@ -199,7 +202,7 @@ def random_regular_oracle(n: int, d: int, seed: int) -> list[tuple[int, int]]:
 
     def try_pairing():
         edges: set[tuple[int, int]] = set()
-        stubs = list(range(n)) * d
+        stubs = list(range(n)) * (n - 1 - d if dense else d)
         while stubs:
             potential: dict[int, int] = defaultdict(int)
             arr = np.array(stubs, dtype=np.int64)
@@ -218,9 +221,11 @@ def random_regular_oracle(n: int, d: int, seed: int) -> list[tuple[int, int]]:
             stubs = [v for v, k in potential.items() for _ in range(k)]
         return edges
 
-    for _ in range(1000):
+    for _ in range(attempts):
         edges = try_pairing()
         if edges is not None:
+            if dense:
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n)} - edges
             return sorted(edges)
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 

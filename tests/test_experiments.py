@@ -24,7 +24,7 @@ from qwsearch import (
     write_edge_list,
     write_state_snapshot,
 )
-from qwsearch import experiments, walk
+from qwsearch import experiments, graphs, walk
 from qwsearch.cli import main
 from qwsearch.experiments import (
     EXIT_CHECK_FAILED,
@@ -723,16 +723,18 @@ class TestCli:
         assert captured.out == ""
         self.assert_one_out_of_memory_line(captured.err)
 
-    # All 1000 stub pairings of this graph fail, in about a second.
+    # With no stub pairing allowed, sampling this graph fails.
     UNSAMPLED = {"graph": {"family": "random_regular", "n": 40, "d": 38, "seed": 1}, "marked": {"vertices": [0]}}
     UNSAMPLED_ERROR = "failed to sample a simple 38-regular graph on 40 vertices"
 
-    def test_run_of_a_random_regular_graph_that_fails_to_sample_is_exit_1(self, tmp_path, capsys):
+    def test_run_of_a_random_regular_graph_that_fails_to_sample_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIRING_ATTEMPTS", 0)
         cfg = write_config(tmp_path / "dense.json", self.UNSAMPLED)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {self.UNSAMPLED_ERROR}\n"
 
-    def test_sweep_reports_a_random_regular_graph_that_fails_to_sample_and_runs_the_rest(self, tmp_path, capsys):
+    def test_sweep_reports_a_random_regular_graph_that_fails_to_sample_and_runs_the_rest(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIRING_ATTEMPTS", 0)
         write_config(tmp_path / "dense.json", self.UNSAMPLED)
         fig_cycle_config(tmp_path)
         assert main(["sweep", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
@@ -986,6 +988,61 @@ class TestCli:
         cfg = fig_cycle_config(tmp_path)
         assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: QWALK_THREADS: bad integer 'two'\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_thread_count_is_exit_1(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("QWALK_THREADS", threads)
+        cfg = fig_cycle_config(tmp_path)
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: QWALK_THREADS must be positive, got '{threads}'\n"
+
+    def test_run_of_a_graph_with_no_arcs_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "empty.txt").write_text("3 0\n")
+        cfg = write_config(tmp_path / "empty.json", {"graph": {"edge_list": "empty.txt"}, "marked": {"vertices": [0]}})
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: graph has no arcs; nothing to simulate\n")
+
+    def test_dominance_failure_is_exit_3_and_reported_as_failed(self, tmp_path, capsys, monkeypatch):
+        # This block's ceiling is 1/2, so with a slack of -1 no observed
+        # maximum is below it.
+        monkeypatch.setattr(experiments, "DOMINANCE_SLACK", -1.0)
+        cfg = write_config(tmp_path / "block.json", {
+            "graph": {"family": "torus2d", "rows": 8, "cols": 8},
+            "marked": {"block": {"rows": 2, "cols": 2, "row_offset": 1, "col_offset": 1}},
+            "t_max": 20,
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert " bound=0.5 " in out and "status=dominance failed" in out
+        report = json.loads((tmp_path / "o" / "block.json").read_text())
+        assert report["dominance"] is False and report["checks_passed"] is False
+        assert len((tmp_path / "o" / "block.csv").read_text().splitlines()) == 22
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.splitlines()[1].endswith(" dominance failed")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_seed_override_reseeds_a_random_regular_graph(self, tmp_path, command):
+        # --seed 5 names seed 5 for the graph as well as for the pairs: the
+        # run equals one whose config names it in both, not one that names
+        # it for the pairs only.
+        def config(name, graph_seed, pairs_seed):
+            return write_config(tmp_path / f"{name}.json", {
+                "graph": {"family": "random_regular", "n": 24, "d": 3, "seed": graph_seed},
+                "marked": {"pairs": {"k": 1, "seed": pairs_seed}},
+                "t_max": 60,
+            })
+
+        def artifacts(cfg, *argv):
+            out = tmp_path / f"out-{cfg.stem}"
+            assert main([command, str(cfg), *argv, "--out-dir", str(out)]) == EXIT_OK
+            run_dir = out if command == "run" else out / cfg.stem
+            report = json.loads((run_dir / f"{cfg.stem}.json").read_text())
+            del report["config"]
+            return (run_dir / f"{cfg.stem}.csv").read_bytes(), report
+
+        reseeded = artifacts(config("rr", 9, 2), "--seed", "5")
+        assert reseeded == artifacts(config("named", 5, 5))
+        assert reseeded != artifacts(config("pairs_only", 9, 5))
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg = fig_cycle_config(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qwsearch.graphs as graphs
 import qwsearch.walk as walk
 from qwsearch import (
     build_graph,
@@ -189,21 +190,36 @@ class TestGenerate:
         g2 = random_regular_graph(20, 3, seed=2)
         assert g1.edge_list() != g2.edge_list()
 
-    # Sparse requests, dense ones at d = n - 1, n - 2 and n - 3, and edgeless ones.
+    # Sparse requests, dense ones at d = n - 1, n - 2 and n - 3, edgeless
+    # ones, and ones whose first pairings dead-end: (7, 2, 1) and (13, 6, 0)
+    # directly, (8, 4, 0) on its 3-regular complement.
     @pytest.mark.parametrize("n, d, seed", [
         (1, 0, 0), (6, 0, 1), (6, 1, 0), (10, 2, 5), (10, 3, 7), (20, 3, 1), (200, 4, 3), (2000, 3, 1),
         (1000, 10, 2), (9, 8, 0), (12, 10, 0), (14, 12, 1), (16, 13, 2), (20, 18, 3), (21, 18, 0), (26, 24, 1),
-        (32, 31, 0), (32, 30, 1),
+        (32, 31, 0), (32, 30, 1), (7, 2, 1), (13, 6, 0), (8, 4, 0),
     ])
     def test_random_regular_matches_the_stub_matching_oracle(self, n, d, seed):
         assert random_regular_graph(n, d, seed).edge_list() == random_regular_oracle(n, d, seed)
 
-    def test_random_regular_fails_where_the_oracle_fails(self):
+    # With no pairing allowed, or one whose matching dead-ends; the dense
+    # request's message names the degree asked for, not its complement's.
+    @pytest.mark.parametrize("n, d, seed, attempts", [(32, 30, 0, 0), (7, 2, 1, 1), (8, 4, 0, 1)])
+    def test_random_regular_fails_where_the_oracle_fails(self, monkeypatch, n, d, seed, attempts):
+        monkeypatch.setattr(graphs, "_PAIRING_ATTEMPTS", attempts)
         with pytest.raises(ValueError) as want:
-            random_regular_oracle(32, 30, 0)
+            random_regular_oracle(n, d, seed, attempts)
         with pytest.raises(ValueError) as got:
-            random_regular_graph(32, 30, 0)
-        assert str(got.value) == str(want.value) == "failed to sample a simple 30-regular graph on 32 vertices"
+            random_regular_graph(n, d, seed)
+        assert str(got.value) == str(want.value) == f"failed to sample a simple {d}-regular graph on {n} vertices"
+
+    # Each of these spent all 1000 pairings and failed when it was matched
+    # directly.
+    @pytest.mark.parametrize("n, d, seed", [(32, 30, 0), (40, 37, 0), (40, 37, 1), (40, 37, 2), (40, 38, 1), (60, 58, 0)])
+    def test_dense_random_regular_is_the_complement_of_its_sparse_sample(self, n, d, seed):
+        g = random_regular_graph(n, d, seed)
+        assert g.degrees.tolist() == [d] * n
+        sparse = set(random_regular_graph(n, n - 1 - d, seed).edge_list())
+        assert g.edge_list() == [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
 
     @pytest.mark.parametrize(
         "family,params,match",
