@@ -113,22 +113,9 @@ _GRAPH_FAMILY_KEYS = {family: tuple(inspect.signature(build).parameters) for fam
 
 
 @dataclass(frozen=True)
-class GraphSpec:
-    family: str | None
-    params: dict
-    edge_list: str | None
-
-
-@dataclass(frozen=True)
-class MarkedSpec:
-    kind: str  # "vertices" | "block" | "pairs"
-    payload: object
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    graph: GraphSpec
-    marked: MarkedSpec
+    graph: dict  # {"edge_list": name}, or {"family": name, **the generator's int parameters}
+    marked: tuple  # (kind, payload): ("vertices", ids), or ("block" | "pairs", its int fields)
     t_max: int | None
     assignment_file: str | None  # None: solve for the minimum-norm assignment
     csv_name: str  # output file names inside the output directory
@@ -169,7 +156,7 @@ def _as_t_max(value, where: str) -> int:
     return t_max
 
 
-def _parse_graph_spec(obj) -> GraphSpec:
+def _parse_graph_spec(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("'graph' must be an object")
     _reject_unknown(obj, {"family", "edge_list"}.union(*_GRAPH_FAMILY_KEYS.values()), "graph")
@@ -179,7 +166,7 @@ def _parse_graph_spec(obj) -> GraphSpec:
         raise ValueError("graph: exactly one of 'family' and 'edge_list' is required")
     if has_edge_list:
         _reject_unknown(obj, {"edge_list"}, "graph with an edge_list")
-        return GraphSpec(family=None, params={}, edge_list=_as_name(obj["edge_list"], "graph.edge_list"))
+        return {"edge_list": _as_name(obj["edge_list"], "graph.edge_list")}
     family = obj["family"]
     if not isinstance(family, str) or family not in _GRAPH_FAMILY_KEYS:
         raise ValueError(f"graph: unknown family {family!r}")
@@ -187,11 +174,10 @@ def _parse_graph_spec(obj) -> GraphSpec:
     given = set(obj) - {"family"}
     if given != set(wanted):
         raise ValueError(f"graph: family {family!r} takes keys {sorted(wanted)}, got {sorted(given)}")
-    params = {k: _as_int(obj[k], f"graph.{k}") for k in wanted}
-    return GraphSpec(family=family, params=params, edge_list=None)
+    return {"family": family, **{k: _as_int(obj[k], f"graph.{k}") for k in wanted}}
 
 
-def _parse_marked_spec(obj) -> MarkedSpec:
+def _parse_marked_spec(obj) -> tuple:
     if not isinstance(obj, dict):
         raise ValueError("'marked' must be an object")
     _reject_unknown(obj, {"vertices", "block", "pairs"}, "marked")
@@ -201,7 +187,7 @@ def _parse_marked_spec(obj) -> MarkedSpec:
     if kind == "vertices":
         if not isinstance(payload, list):
             raise ValueError("marked.vertices must be a list of vertex ids")
-        return MarkedSpec("vertices", tuple(_as_int(v, "marked.vertices[]") for v in payload))
+        return "vertices", tuple(_as_int(v, "marked.vertices[]") for v in payload)
     if not isinstance(payload, dict):
         raise ValueError(f"marked.{kind} must be an object")
     if kind == "block":
@@ -212,14 +198,14 @@ def _parse_marked_spec(obj) -> MarkedSpec:
         block = {k: _as_int(v, f"marked.block.{k}") for k, v in block.items()}
         if block["rows"] < 1 or block["cols"] < 1:
             raise ValueError("marked.block dimensions must be positive")
-        return MarkedSpec("block", block)
+        return "block", block
     _reject_unknown(payload, {"k", "seed"}, "marked.pairs")
     if "k" not in payload or "seed" not in payload:
         raise ValueError("marked.pairs requires 'k' and 'seed'")
     pairs = {k: _as_int(v, f"marked.pairs.{k}") for k, v in payload.items()}
     if pairs["k"] < 0:
         raise ValueError("marked.pairs.k must be nonnegative")
-    return MarkedSpec("pairs", pairs)
+    return "pairs", pairs
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -279,10 +265,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_graph_from_spec(cfg: ExperimentConfig) -> Graph:
-    spec = cfg.graph
-    if spec.edge_list is not None:
-        return read_edge_list(_resolve(cfg.base_dir, spec.edge_list))
-    return generate(spec.family, **spec.params)
+    if "edge_list" in cfg.graph:
+        return read_edge_list(_resolve(cfg.base_dir, cfg.graph["edge_list"]))
+    return generate(**cfg.graph)
 
 
 def _resolve(base: Path, p: str) -> Path:
@@ -323,26 +308,25 @@ def select_disjoint_pairs(g: Graph, k: int, seed: int) -> list[int]:
 
 
 def build_marked_from_spec(cfg: ExperimentConfig, g: Graph) -> list[int]:
-    spec = cfg.marked
-    if spec.kind == "vertices":
-        return sorted({int(v) for v in spec.payload})
-    if spec.kind == "block":
-        if cfg.graph.family != "torus2d":
+    kind, payload = cfg.marked
+    if kind == "vertices":
+        return sorted({int(v) for v in payload})
+    if kind == "block":
+        if cfg.graph.get("family") != "torus2d":
             raise ValueError("marked.block requires the torus2d graph family")
-        rows, cols = cfg.graph.params["rows"], cfg.graph.params["cols"]
-        blk = spec.payload
-        if blk["rows"] > rows or blk["cols"] > cols:
+        rows, cols = cfg.graph["rows"], cfg.graph["cols"]
+        if payload["rows"] > rows or payload["cols"] > cols:
             # It would wrap around the torus onto itself.
             raise ValueError(
-                f"marked.block of {blk['rows']}x{blk['cols']} does not fit the {rows}x{cols} torus"
+                f"marked.block of {payload['rows']}x{payload['cols']} does not fit the {rows}x{cols} torus"
             )
         verts = {
-            ((blk["row_offset"] + i) % rows) * cols + ((blk["col_offset"] + j) % cols)
-            for i in range(blk["rows"])
-            for j in range(blk["cols"])
+            ((payload["row_offset"] + i) % rows) * cols + ((payload["col_offset"] + j) % cols)
+            for i in range(payload["rows"])
+            for j in range(payload["cols"])
         }
         return sorted(verts)
-    return select_disjoint_pairs(g, spec.payload["k"], spec.payload["seed"])
+    return select_disjoint_pairs(g, payload["k"], payload["seed"])
 
 
 @dataclass(frozen=True)
@@ -420,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
             "n": g.n,
             "m": g.edge_count,
             "arc_count": g.arc_count,
-            "source": cfg.graph.family or "edge_list",
+            "source": cfg.graph.get("family", "edge_list"),
         },
         "marked": list(marked),
         "t_max": t_max,
@@ -490,14 +474,11 @@ def apply_overrides(cfg: ExperimentConfig, *, t_max=None, seed=None, assignment=
         cfg = replace(cfg, t_max=_as_t_max(t_max, "t_max"))
     if seed is not None:
         seed = _as_int(seed, "seed")
-        graph = cfg.graph
-        if graph.family == "random_regular":
-            graph = replace(graph, params={**graph.params, "seed": seed})
-            cfg = replace(cfg, graph=graph)
-        if cfg.marked.kind == "pairs":
-            payload = dict(cfg.marked.payload)
-            payload["seed"] = seed
-            cfg = replace(cfg, marked=MarkedSpec("pairs", payload))
+        if cfg.graph.get("family") == "random_regular":
+            cfg = replace(cfg, graph=cfg.graph | {"seed": seed})
+        kind, payload = cfg.marked
+        if kind == "pairs":
+            cfg = replace(cfg, marked=(kind, payload | {"seed": seed}))
     if assignment is not None:
         # Unlike the config's own assignment.file, not relative to the config.
         cfg = replace(cfg, assignment_file=str(Path(_as_name(assignment, "assignment")).absolute()))

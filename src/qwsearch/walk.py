@@ -489,8 +489,6 @@ def evolve(
     kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked))
     if observer is not None:
         observer(0, kernel.mass())
-    if g.arc_count == 0:
-        return WalkState(kernel.arc_order(kernel.x), g)
     for t in range(1, t_max + 1):
         kernel.step()
         norm = kernel.norm()

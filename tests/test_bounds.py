@@ -106,6 +106,11 @@ class TestComponentBound:
                 continue
             assert component_bound(asg) > 0.0
 
+    def test_isolated_vertex_of_an_edgeless_graph_rejected(self):
+        (comp,) = marked_components(build_graph([], 3), {1})
+        with pytest.raises(ValueError, match="^edge count must be positive, got 0$"):
+            component_bound(solve_min_norm(comp))
+
     def test_bracket_opening_identity(self):
         # directed sum of (c - 1)^2 equals directed sum of c^2 + 2D + 2E
         rng = np.random.default_rng(7)
@@ -289,6 +294,12 @@ class TestDiameterAndBudget:
     def test_budget_is_the_capped_square_of_the_estimate(self, build):
         g = build()
         assert default_step_budget(g) == max(1, min(10 * estimate_diameter(g) ** 2, 10_000))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_graph_has_diameter_0_and_a_budget_of_1(self, n):
+        g = build_graph([], n)
+        assert estimate_diameter(g) == 0
+        assert default_step_budget(g) == 1
 
     def test_budget_stops_its_sweeps_at_the_cap(self, monkeypatch):
         g = torus2d_graph(512, 512)  # diameter 512

@@ -64,8 +64,8 @@ def fig_cycle_config(tmp_path, **extra):
 class TestConfigParsing:
     def test_valid(self, tmp_path):
         cfg = load_config(fig_cycle_config(tmp_path))
-        assert cfg.graph.family == "cycle"
-        assert cfg.marked.kind == "vertices"
+        assert cfg.graph == {"family": "cycle", "n": 5}
+        assert cfg.marked == ("vertices", (3, 4))
         assert cfg.t_max == 150
         assert cfg.assignment_file is None
 
@@ -851,6 +851,20 @@ class TestCli:
         assert out.startswith("residual ")
         assert float(out.splitlines()[0].split()[1]) <= 1e-14
 
+    def test_verify_skips_blank_lines_in_a_snapshot(self, tmp_path, capsys):
+        from qwsearch import build_state, write_state_snapshot
+
+        g = cycle_graph(5)
+        write_edge_list(g, tmp_path / "c5.txt")
+        write_state_snapshot(build_state(g, [solve_min_norm(marked_components(g, {3, 4})[0])]), tmp_path / "plain.txt")
+        records = (tmp_path / "plain.txt").read_text().splitlines()
+        (tmp_path / "spaced.txt").write_text("\n" + "\n\n  \n".join(records) + "\n\t\n")
+        results = []
+        for name in ("plain.txt", "spaced.txt"):
+            code = main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / name)])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1] and results[0][0] == EXIT_OK
+
     def test_verify_failed_condition_is_exit_3(self, tmp_path, capsys):
         from qwsearch import initial_state, write_state_snapshot
 
@@ -917,11 +931,12 @@ class TestCli:
         ("config", "[1, 2]", "{path}: config must be a JSON object"),
         ("edge_list", "5\n", "{path}: first line must be 'n m'"),
         ("snapshot", "0 0\n", "{path}:1: expected 'v c amplitude', got '0 0'"),
+        ("snapshot", "0 0 0.5\n0 1 0.5\n1 0 0.5\n1 2 0.5\n", "{path}:4: vertex 1 has no port 2 (degree 2)"),
         ("assignment", "3 4\na 0.3\n", "{path}:1: expected 'i j c', got '3 4'"),
         ("assignment", "3 4 -1.0\na 0.3 0.4\n", "{path}:2: malformed or repeated scale line 'a 0.3 0.4'"),
     ], ids=["graph_object", "marked_object", "vertices_list", "block_keys", "block_size", "pairs_keys",
-            "pairs_k", "invalid_json", "json_object", "edge_list_header", "snapshot_line", "assignment_line",
-            "assignment_scale"])
+            "pairs_k", "invalid_json", "json_object", "edge_list_header", "snapshot_line", "snapshot_port",
+            "assignment_line", "assignment_scale"])
     def test_input_error_is_exit_1_with_its_one_line(self, tmp_path, capsys, reader, bad, message):
         c5 = tmp_path / "c5.txt"
         write_edge_list(cycle_graph(5), c5)

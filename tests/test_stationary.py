@@ -212,6 +212,11 @@ class TestBuildState:
         with pytest.raises(ValueError, match="different graph"):
             build_state(torus4, [asg])
 
+    @pytest.mark.parametrize("build", [build_state, normalization_scale])
+    def test_arcless_graph_rejected(self, build):
+        with pytest.raises(ValueError, match="^graph has no arcs$"):
+            build(build_graph([], 3), [])
+
     def test_two_components_share_one_scale(self, torus16):
         pairs = [(17, 18), (100, 101)]
         comps = marked_components(torus16, [v for p in pairs for v in p])
@@ -364,6 +369,10 @@ class TestVerifyStationary:
         assert "reverse-arc amplitudes differ" in check.failed_conditions
         assert "unmarked amplitudes not all equal" in check.failed_conditions
 
+    def test_state_of_another_graph_rejected(self, torus4):
+        with pytest.raises(ValueError, match="^state lives on a different graph$"):
+            verify_stationary(torus4, {5}, initial_state(torus2d_graph(4, 4)))
+
     def test_nan_measures_fail(self):
         nan = float("nan")
         check = StationarityCheck(nan, nan, nan, nan)
@@ -425,7 +434,8 @@ class TestAssignmentFileIO:
         ("3 4 -inf\na 0.5\n", ":1: coefficient '-inf' is not finite"),
         ("3 4 -1.0\na inf\n", ":2: scale 'inf' is not finite"),
         ("a NaN\n3 4 -1.0\n", ":1: scale 'NaN' is not finite"),
-    ], ids=["coefficient_nan", "coefficient_minus_inf", "scale_inf", "scale_nan"])
+        ("3 4 -1.0\n\n \t\na inf\n", ":4: scale 'inf' is not finite"),
+    ], ids=["coefficient_nan", "coefficient_minus_inf", "scale_inf", "scale_nan", "after_blank_lines"])
     def test_non_finite_value_rejected_at_its_line(self, tmp_path, text, message):
         path = tmp_path / "asg.txt"
         path.write_text(text)

@@ -70,6 +70,10 @@ class TestInitialState:
         with pytest.raises(ValueError, match="no arcs"):
             initial_state(build_graph([], 3))
 
+    def test_amplitude_count_must_match_the_arcs(self, cycle5):
+        with pytest.raises(ValueError, match="^amplitude vector of length 3 does not match arc count 10$"):
+            WalkState(np.zeros(3), cycle5)
+
 
 class TestQuery:
     def test_flips_marked_arcs(self, cycle5):
@@ -259,6 +263,16 @@ class TestEvolve:
     def test_norm_guard_halts_on_nan(self, cycle5):
         with pytest.raises(NormDriftError, match="step 1"):
             evolve(WalkState(np.full(10, np.nan), cycle5), {0}, 10)
+
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_arcless_state_fails_the_norm_guard_at_step_1(self, n):
+        # The empty state has norm 0, so it halts like any other zero state.
+        seen = []
+        with pytest.raises(NormDriftError, match=r"^norm drifted to 0\.0 at step 1; aborting evolution$"):
+            evolve(WalkState(np.zeros(0), build_graph([], n)), [], 5, observer=lambda t, p: seen.append((t, p)))
+        assert seen == [(0, 0.0)]
+        out = evolve(WalkState(np.zeros(0), build_graph([], n)), [], 0, observer=lambda t, p: seen.append((t, p)))
+        assert out.amplitudes.size == 0 and seen == [(0, 0.0), (0, 0.0)]
 
     def test_negative_t_max(self, cycle5):
         with pytest.raises(ValueError, match="nonnegative"):
