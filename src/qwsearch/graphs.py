@@ -44,8 +44,11 @@ class Graph:
     """Immutable simple undirected graph with a global directed-arc index.
 
     Instances come from :func:`build_graph`, :func:`generate`, or
-    :func:`read_edge_list`.  It stores four int64 arrays, 16 bytes per arc
-    plus 16 per vertex, all marked read-only.
+    :func:`read_edge_list`.  It stores four arrays, all marked read-only:
+    the per-arc ``targets`` and ``reverse`` as int32 when the vertex and
+    arc counts allow it (int64 past 2^31 - 1), 8 bytes per arc, and the
+    per-vertex ``offsets`` and ``degrees`` as int64, 16 bytes per vertex,
+    since index arithmetic starts from them.
 
     Attributes
     ----------
@@ -60,8 +63,9 @@ class Graph:
         Involution mapping each arc to the arc pointing back.
     degrees : ndarray, shape (n,)
     arc_source : ndarray, shape (2m,)
-        Tail vertex of each arc: derived from ``degrees`` on every read,
-        not stored, so a caller that reads it more than once holds on to it.
+        Tail vertex of each arc, in the dtype of ``targets``: derived from
+        ``degrees`` on every read, not stored, so a caller that reads it
+        more than once holds on to it.
 
     ``_walk_plan`` is an opaque private slot: the walk fills it on the
     graph's first walk and reuses it on every later one.
@@ -89,7 +93,7 @@ class Graph:
     @property
     def arc_source(self) -> np.ndarray:
         """Tail vertex of each arc (a new read-only array on every read)."""
-        sources = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        sources = np.repeat(np.arange(self.n, dtype=self.targets.dtype), self.degrees)
         sources.setflags(write=False)
         return sources
 
@@ -158,6 +162,19 @@ def _arcs_between(g: Graph, pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array([g.arc_between(u, v) for u, v in pairs], dtype=np.int64)
 
 
+# Largest vertex count and arc count whose indices a graph stores as
+# int32; a larger graph stores them as int64.
+_INT32_INDEX_LIMIT = np.iinfo(np.int32).max
+
+# Arcs per run of build_graph's fills and of verify_stationary's
+# reverse-arc gather (numpy gathers through an int64 index, so an int32
+# one is converted a run at a time).  A run's temporaries are about 36 KB,
+# 71 KB at 2^12 arcs and 141 KB at 2^13.  On a 512x512 torus the build
+# took 49-50 ms at this size against 45-46 at 2^13 arcs, and the check the
+# same time at 2^12 to 2^22.
+_GATHER_RUN = 1 << 11
+
+
 class _EdgeError(ValueError):
     """An invalid edge, with its position in the edge list."""
 
@@ -206,22 +223,34 @@ def build_graph(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Graph:
     np.multiply(v, n, out=keys[m:])
     keys[m:] += u
     order = np.argsort(keys, kind="stable")
-    targets = keys[order]
-    if (targets[1:] == targets[:-1]).any():
-        a, b = sorted(divmod(int(targets[np.argmax(targets[1:] == targets[:-1])]), n))
-        again = np.flatnonzero((np.minimum(u, v) == a) & (np.maximum(u, v) == b))[1]
-        raise _EdgeError(int(again), f"duplicate edge ({a}, {b})")
-    np.remainder(targets, n, out=targets)
+    # The stored arrays are filled a run of sorted positions at a time, so
+    # the build holds nothing arc-sized beyond them and the int64 keys and
+    # order: 24 bytes per arc with int32 indices.  One int64 targets array
+    # cast at the end raised a 512x512 torus run's peak RSS by 2.5 MB, and
+    # one cast as it was freed raised a threaded sweep's by about 2 MB.
+    index = np.int32 if max(n, 2 * m) <= _INT32_INDEX_LIMIT else np.int64
+    targets = np.empty(2 * m, dtype=index)
+    for a in range(0, 2 * m, _GATHER_RUN):
+        # The run's sorted keys, after the last key of the run before: a key
+        # met twice in a row is a duplicate edge.
+        run = keys[order[max(a - 1, 0) : a + _GATHER_RUN]]
+        twice = run[1:] == run[:-1]
+        if twice.any():
+            lo, hi = sorted(divmod(int(run[twice.argmax()]), n))
+            again = np.flatnonzero((np.minimum(u, v) == lo) & (np.maximum(u, v) == hi))[1]
+            raise _EdgeError(int(again), f"duplicate edge ({lo}, {hi})")
+        np.remainder(run[1:] if a else run, n, out=targets[a : a + _GATHER_RUN])
     # Input arcs j and j + m (mod 2m) are each other's reverse.  With
     # position the inverse of order, the arc at sorted position i has its
-    # reverse at position[order[i] - m], the index wrapped mod 2m.  The
-    # unsorted keys hold position and the arange holds the reverse map, so
-    # the build peaks at four arc-sized arrays.
+    # reverse at position[order[i] - m], a negative index wrapping mod 2m.
+    # The unsorted keys hold position.
     position = keys
-    reverse = np.arange(2 * m, dtype=np.int64)
-    position[order] = reverse
+    for a in range(0, 2 * m, _GATHER_RUN):
+        position[order[a : a + _GATHER_RUN]] = np.arange(a, min(a + _GATHER_RUN, 2 * m))
     order -= m
-    np.take(position, order, out=reverse, mode="wrap")
+    reverse = np.empty(2 * m, dtype=index)
+    for a in range(0, 2 * m, _GATHER_RUN):
+        reverse[a : a + _GATHER_RUN] = position[order[a : a + _GATHER_RUN]]
     return Graph(n, offsets, targets, reverse, degrees)
 
 

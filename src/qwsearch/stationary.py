@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Graph, MarkedComponent, _arcs_between, _arcs_of, _parse_finite, _parse_int
+from .graphs import _GATHER_RUN, Graph, MarkedComponent, _arcs_between, _arcs_of, _parse_finite, _parse_int
 from .walk import WalkState, step
 
 __all__ = [
@@ -294,14 +294,17 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
     marked_set = {int(v) for v in marked}
     amps = state.amplitudes
     # The three state-sized measures are reduced in place in the buffer of
-    # the one-step image, which this function owns.  np.take's default mode
-    # would buffer a copy; step's coin plan build has checked the reverse
-    # map's range.
+    # the one-step image, which this function owns.  np.take copies a
+    # read-only or int32 index whole, so the reverse map is gathered a run
+    # at a time; its default mode would buffer a copy of the output, and
+    # step's coin plan build has checked the reverse map's range.
     work = step(state, marked_set).amplitudes
     residual = mismatch = spread = 0.0
     if amps.size:
         residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
-        np.subtract(amps, np.take(amps, g.reverse, out=work, mode="wrap"), out=work)
+        for a in range(0, amps.size, _GATHER_RUN):
+            np.take(amps, g.reverse[a : a + _GATHER_RUN], out=work[a : a + _GATHER_RUN], mode="wrap")
+        np.subtract(amps, work, out=work)
         mismatch = float(np.abs(work, out=work).max())
     marked_arcs = _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64))
     if marked_arcs.size < amps.size:

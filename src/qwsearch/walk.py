@@ -160,8 +160,9 @@ class _CoinPlan:
 
     ``shift`` maps each position to the position of its reverse arc, range
     checked at build so the kernel can gather with ``mode="wrap"``.  It and
-    the fix-up arrays are left writable: np.take copies a read-only index
-    on every call, 8 bytes per arc per step.
+    the fix-up arrays are int64, whatever the graph's index dtype, and left
+    writable: np.take copies an index of any other dtype, or a read-only
+    one, on every call, 8 bytes per arc per step.
 
     A one-block plan whose shift mostly moves whole rows carries
     ``slices`` instead: for each destination row q, ``(p, k, lo, hi)``
@@ -242,8 +243,7 @@ def _layout_shift(g: Graph, plan: _CoinPlan) -> np.ndarray:
     for start, arcs in _runs(g, plan):
         w = g.targets[arcs]  # the reverse arc's source
         out = shift[start : start + arcs.size]
-        np.take(g.reverse, arcs, out=out, mode="wrap")
-        out *= stride[w]
+        np.multiply(g.reverse[arcs], stride[w], out=out)
         out += base[w]
     return shift
 
@@ -327,10 +327,10 @@ class _Kernel:
             at = np.searchsorted(run, arcs).clip(max=run.size - 1)
             hit = run[at] == arcs
             self.arcs[hit] = start + at[hit]
-        # The segment's reduceat starts, scale and rank gather, built here
-        # rather than kept on the plan, and writable so numpy copies none.
+        # The segment's reduceat starts, scale and vertex degrees, built
+        # here rather than kept on the plan, and writable so numpy copies none.
         self.starts = np.cumsum(lengths) + plan.segment - lengths
-        self.scale, self.rank = 2.0 / lengths, np.repeat(np.arange(lengths.size), lengths)
+        self.scale, self.lengths = 2.0 / lengths, lengths
         if plan.slices is None:
             return
         self.block_scale = 2.0 / plan.blocks[0][0]
@@ -388,12 +388,15 @@ class _Kernel:
             # Row by row: a broadcast subtract would take a 64 KB buffer.
             for row, out in zip(rows, spare[start : start + d * width].reshape(d, width)):
                 np.subtract(part, row, out=out)
-        if self.rank.size:
+        if self.lengths.size:
             seg, part = slice(self.plan.segment, None), sums[: self.starts.size]
             np.add.reduceat(x, self.starts, out=part)
             np.multiply(part, self.scale, out=part)
-            np.take(part, self.rank, out=spare[seg], mode="wrap")
-            np.subtract(spare[seg], x[seg], out=spare[seg])
+            # Each vertex's scaled sum repeated over its arcs.  On K400 the
+            # repeat took 70 us against 151 for a gather through a per-arc
+            # rank array (one thread, 2-vCPU Xeon); its temporary is as
+            # large as that array was, but is not held between steps.
+            np.subtract(np.repeat(part, self.lengths), x[seg], out=spare[seg])
 
     def step(self) -> None:
         x, arcs, plan = self.x, self.arcs, self.plan

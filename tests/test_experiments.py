@@ -296,6 +296,22 @@ class TestRun:
         assert out1.csv_path.read_bytes() == out2.csv_path.read_bytes()
         assert json.loads(out1.json_path.read_text()) == json.loads(out2.json_path.read_text())
 
+    # A sliced plan, a gather plan, and one reduceat segment.
+    @pytest.mark.parametrize("graph, marked", [
+        ({"family": "torus2d", "rows": 12, "cols": 12}, {"block": {"rows": 2, "cols": 2, "row_offset": 3, "col_offset": 5}}),
+        ({"family": "random_regular", "n": 40, "d": 3, "seed": 2}, {"pairs": {"k": 2, "seed": 4}}),
+        ({"family": "complete", "n": 12}, {"vertices": [0, 1, 2]}),
+    ], ids=["torus", "random_regular", "complete"])
+    def test_int64_arc_indices_write_the_same_bytes(self, tmp_path, monkeypatch, graph, marked):
+        cfg = write_config(tmp_path / "c.json", {"graph": graph, "marked": marked, "t_max": 40})
+        narrow = execute(cfg, tmp_path / "int32")
+        monkeypatch.setattr(graphs, "_INT32_INDEX_LIMIT", 8)
+        assert graphs.generate(**graph).reverse.dtype == np.int64
+        wide = execute(cfg, tmp_path / "int64")
+        assert narrow.exit_code == wide.exit_code == EXIT_OK
+        assert narrow.csv_path.read_bytes() == wide.csv_path.read_bytes()
+        assert narrow.json_path.read_bytes() == wide.json_path.read_bytes()
+
     def test_infeasible_is_exit_2(self, tmp_path):
         g = build_graph([(0, 1), (1, 2)], 3)
         write_edge_list(g, tmp_path / "path.txt")

@@ -133,12 +133,17 @@ def shuffled_edge_lists(draw):
     return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
 
 
+# The dtype of each graph array: arc indices in 4 bytes, and the vertex
+# arrays that index arithmetic starts from in 8.
+GRAPH_DTYPES = {"offsets": np.int64, "targets": np.int32, "reverse": np.int32, "degrees": np.int64, "arc_source": np.int32}
+
+
 def assert_matches_reference_csr(g, edges, n):
     want = reference_csr(edges, n)
     assert g.n == n
     for name, arr in want.items():
         got = getattr(g, name)
-        assert got.dtype == np.int64 and not got.flags.writeable, name
+        assert got.dtype == GRAPH_DTYPES[name] and not got.flags.writeable, name
         assert np.array_equal(got, arr), name
 
 
@@ -162,6 +167,36 @@ class TestBuildGraphMatchesReferenceCsr:
         g = build_graph(edges, n)
         assert g.degrees.min() == 0 and g.degrees.max() > 2 * g.degrees[g.degrees > 0].min()
         assert_matches_reference_csr(g, edges.tolist(), n)
+
+    def test_reverse_map_gathered_over_several_runs(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_GATHER_RUN", 7)
+        n = 30
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u * v + u + v) % 5 == 0]
+        assert 2 * len(edges) > 10 * graphs._GATHER_RUN
+        assert_matches_reference_csr(build_graph(edges, n), edges, n)
+
+    # The two arcs of a repeated edge sort next to each other, in one run
+    # or across the end of one.
+    @pytest.mark.parametrize("run", [1, 2, 3])
+    def test_duplicate_found_in_any_run(self, monkeypatch, run):
+        monkeypatch.setattr(graphs, "_GATHER_RUN", run)
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        for u, v in edges:
+            with pytest.raises(ValueError, match=rf"^duplicate edge \({u}, {v}\)$"):
+                build_graph(edges + [(v, u)], 4)
+
+    # A graph whose vertex count, or else arc count, is past the limit
+    # stores int64 arc indices.
+    @pytest.mark.parametrize("edges, n", [([(0, 1), (2, 3)], 10), ([(0, 1), (0, 2), (1, 2)], 3)], ids=["vertices", "arcs"])
+    def test_int64_arc_indices_past_the_int32_limit(self, monkeypatch, edges, n):
+        size = max(n, 2 * len(edges))
+        for limit, index in [(size, np.int32), (size - 1, np.int64)]:
+            monkeypatch.setattr(graphs, "_INT32_INDEX_LIMIT", limit)
+            g = build_graph(edges, n)
+            for name, want in reference_csr(edges, n).items():
+                got = getattr(g, name)
+                assert got.dtype == (index if GRAPH_DTYPES[name] == np.int32 else np.int64), name
+                assert np.array_equal(got, want) and not got.flags.writeable, name
 
 
 class TestGenerate:
@@ -266,9 +301,9 @@ class TestArrayBuilders:
         g = generate(family, **params)
         ref = reference_family_graph(family, **params)
         assert g.n == ref.n
-        for name in ("offsets", "targets", "reverse", "degrees", "arc_source"):
+        for name, dtype in GRAPH_DTYPES.items():
             got, want = getattr(g, name), getattr(ref, name)
-            assert got.dtype == np.int64, name
+            assert got.dtype == dtype, name
             assert not got.flags.writeable, name
             assert np.array_equal(got, want), name
         # complete(10) is the one case here above the port-major degree

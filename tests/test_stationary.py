@@ -9,6 +9,7 @@ from qwsearch import (
     InfeasibleComponentError,
     StationarityCheck,
     StationaryAssignment,
+    WalkState,
     apply_coin,
     apply_query,
     assignments_from_coefficients,
@@ -31,6 +32,7 @@ from qwsearch import (
     verify_stationary,
     write_state_snapshot,
 )
+from qwsearch import stationary
 from qwsearch.stationary import CONSTRAINT_TOL, format_assignment
 
 from helpers import (
@@ -368,6 +370,15 @@ class TestVerifyStationary:
         check = verify_stationary(cycle5, {3, 4}, WalkState(amps, cycle5))
         assert "reverse-arc amplitudes differ" in check.failed_conditions
         assert "unmarked amplitudes not all equal" in check.failed_conditions
+
+    @pytest.mark.parametrize("run", [1, 3, 4096])
+    def test_reverse_mismatch_is_measured_over_every_run(self, cycle5, monkeypatch, run):
+        monkeypatch.setattr(stationary, "_GATHER_RUN", run)
+        state = build_state(cycle5, [solve_min_norm(single_component(cycle5, {3, 4}))])
+        amps = state.amplitudes.copy()
+        amps[-1] += 1e-3  # the last arc, in the last run
+        check = verify_stationary(cycle5, {3, 4}, WalkState(amps, cycle5))
+        assert check.max_reverse_mismatch == np.abs(amps - amps[cycle5.reverse]).max() > 0
 
     def test_state_of_another_graph_rejected(self, torus4):
         with pytest.raises(ValueError, match="^state lives on a different graph$"):

@@ -401,6 +401,21 @@ class TestStepKernel:
         g, amps, _ = kernel_case(name)
         assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin_of(g)(amps).tobytes()
 
+    def test_int64_arc_indices_evolve_alike(self, name):
+        # A graph past the int32 limit stores its arc indices as int64.
+        g, amps, marked = kernel_case(name)
+        wide = Graph(g.n, g.offsets, g.targets.astype(np.int64), g.reverse.astype(np.int64), g.degrees)
+        assert g.targets.dtype == g.reverse.dtype == np.int32 and wide.arc_source.dtype == np.int64
+        runs = []
+        for h in (g, wide):
+            seen = []
+            out = evolve(WalkState(amps, h), marked, 30, observer=lambda t, p: seen.append(p))
+            runs.append((np.array(seen).tobytes(), out.amplitudes.tobytes(),
+                         step(WalkState(amps, h), marked).amplitudes.tobytes(),
+                         apply_coin(WalkState(amps, h)).amplitudes.tobytes(),
+                         apply_shift(WalkState(amps, h)).amplitudes.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_nan_is_caught_by_drift_guard(self, name):
         g, amps, marked = kernel_case(name)
         amps[g.arc_count // 2] = np.nan
