@@ -530,24 +530,10 @@ def _parse_finite(text: str, what: str, where: str) -> float:
     return value
 
 
-def _token_counts(lines: list[str]) -> np.ndarray:
-    """How many tokens ``str.split()`` finds on each line, counted on arrays
-    when the lines are ASCII."""
-    text = "\n".join(lines)
-    if not text.isascii():
-        return np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = np.array([chr(c).isspace() for c in range(128)])[chars]
-    starts = ~space
-    starts[1:] &= space[:-1]
-    # The joining newlines are the only line breaks left in the text.
-    line_of_token = np.searchsorted(np.flatnonzero(chars == ord("\n")), np.flatnonzero(starts))
-    return np.bincount(line_of_token, minlength=len(lines))
-
-
 def read_edge_list(path) -> Graph:
+    """The graph in an edge-list file, each line split into tokens by ``str.split()``."""
     lines = Path(path).read_text().splitlines()
-    counts = _token_counts(lines)
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
     linenos = np.flatnonzero(counts) + 1
     if not linenos.size or counts[linenos[0] - 1] != 2:
         raise ValueError(f"{path}: first line must be 'n m'")

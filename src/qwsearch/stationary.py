@@ -97,17 +97,6 @@ def exists_stationary(comp: MarkedComponent) -> bool:
     return sums[0] == sums[1]
 
 
-def _infeasible(comp: MarkedComponent, residual: float | None = None) -> InfeasibleComponentError:
-    sums = comp.bipartite_outgoing_sums()
-    if sums is not None:
-        return InfeasibleComponentError(
-            f"no stationary state for component {comp.vertices}: bipartite side sums {sums[0]} != {sums[1]}"
-        )
-    return InfeasibleComponentError(
-        f"no stationary state for component {comp.vertices}: constraint residual {residual:.3e}"
-    )
-
-
 def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     """Coefficients with the smallest sum of squares meeting every constraint.
 
@@ -119,10 +108,6 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     verts = comp.vertices
     edges = comp.internal_edges
     targets = -np.array([comp.outgoing_degree[v] for v in verts], dtype=np.float64)
-    if not edges:
-        if np.any(targets != 0.0):
-            raise _infeasible(comp)
-        return StationaryAssignment(comp, {})
     incidence = np.zeros((len(verts), len(edges)))
     row = {v: i for i, v in enumerate(verts)}
     for j, (u, w) in enumerate(edges):
@@ -131,7 +116,9 @@ def solve_min_norm(comp: MarkedComponent) -> StationaryAssignment:
     coeffs = np.linalg.lstsq(incidence, targets, rcond=None)[0]
     residual = float(np.max(np.abs(incidence @ coeffs - targets)))
     if residual > CONSTRAINT_TOL * max(1.0, float(np.linalg.norm(targets))):
-        raise _infeasible(comp, residual)
+        sums = comp.bipartite_outgoing_sums()
+        why = f"constraint residual {residual:.3e}" if sums is None else f"bipartite side sums {sums[0]} != {sums[1]}"
+        raise InfeasibleComponentError(f"no stationary state for component {comp.vertices}: {why}")
     return StationaryAssignment(comp, {e: float(c) for e, c in zip(edges, coeffs)})
 
 
@@ -298,26 +285,27 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
     # read-only or int32 index whole, so the reverse map is gathered a run
     # at a time; its default mode would buffer a copy of the output, and
     # step's coin plan build has checked the reverse map's range.
-    work = step(state, marked_set).amplitudes
-    residual = mismatch = spread = 0.0
-    if amps.size:
-        residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
-        for a in range(0, amps.size, _GATHER_RUN):
-            np.take(amps, g.reverse[a : a + _GATHER_RUN], out=work[a : a + _GATHER_RUN], mode="wrap")
-        np.subtract(amps, work, out=work)
-        mismatch = float(np.abs(work, out=work).max())
-    marked_arcs = _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64))
-    if marked_arcs.size < amps.size:
-        # The unmarked amplitudes' max and min: the marked arcs hold -inf,
-        # which moves no max, then +inf, which moves no min.  A NaN wins both.
-        np.copyto(work, amps)
-        work[marked_arcs] = -np.inf
-        top = work.max()
-        work[marked_arcs] = np.inf
-        spread = float(top - work.min())
-    vertex_sum = 0.0
-    for v in marked_set:
-        vertex_sum = max(vertex_sum, abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN measure fails the check
+        work = step(state, marked_set).amplitudes
+        residual = mismatch = spread = 0.0
+        if amps.size:
+            residual = float(np.abs(np.subtract(work, amps, out=work), out=work).max())
+            for a in range(0, amps.size, _GATHER_RUN):
+                np.take(amps, g.reverse[a : a + _GATHER_RUN], out=work[a : a + _GATHER_RUN], mode="wrap")
+            np.subtract(amps, work, out=work)
+            mismatch = float(np.abs(work, out=work).max())
+        marked_arcs = _arcs_of(g, np.array(sorted(marked_set), dtype=np.int64))
+        if marked_arcs.size < amps.size:
+            # The unmarked amplitudes' max and min: the marked arcs hold -inf,
+            # which moves no max, then +inf, which moves no min.  A NaN wins both.
+            np.copyto(work, amps)
+            work[marked_arcs] = -np.inf
+            top = work.max()
+            work[marked_arcs] = np.inf
+            spread = float(top - work.min())
+        vertex_sum = 0.0
+        for v in marked_set:
+            vertex_sum = max(vertex_sum, abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())))
     return StationarityCheck(
         residual=residual,
         unmarked_amplitude_spread=spread,

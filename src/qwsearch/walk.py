@@ -12,18 +12,19 @@ one evolution at a time; the pure operator functions below return new
 states and never mutate their input.
 
 The step is written once, in ``_Kernel``: ``evolve`` runs it in a loop,
-``step`` runs it once and ``apply_coin`` runs its coin.  It works on two
-buffers allocated per call, laid out by a coin plan (``_CoinPlan``) that
-the walk builds on a graph's first walk and keeps on the graph.  The
-layout groups the vertices by degree: each degree up to 8 is a
-port-major block whose coin sums are row adds, and the higher degrees
-share one np.add.reduceat segment.  The coin's image is gathered through
-the shift or, on a one-block plan whose shift mostly moves whole rows
-(tori, cycles), written straight to its shifted positions in row slices,
-a block of vertices at a time through views cut once from the plan's
-slices, plus a small fix-up gather in the order the blocks read them.
-Every layout computes each amplitude by the same operations, so all give
-results bit for bit equal to the step as written above.
+``step`` runs it once and ``apply_coin`` shifts back a step that marks
+nothing.  It works on two buffers allocated per call, laid out by a coin
+plan (``_CoinPlan``) that the walk builds on a graph's first walk and
+keeps on the graph.  The layout groups the vertices by degree: each
+degree up to 8 is a port-major block whose coin sums are row adds, and
+the higher degrees share one np.add.reduceat segment.  The coin's image
+is gathered through the shift or, on a one-block plan whose shift mostly
+moves whole rows (tori, cycles), written straight to its shifted
+positions in row slices, a block of vertices at a time through views cut
+once from the plan's slices, plus a small fix-up gather in the order the
+blocks read them.  Every layout computes each amplitude by the same
+operations, so all give results bit for bit equal to the step as written
+above.
 
 ``evolve``'s norm guard is one dot of the whole state after every step.
 numpy hands a dot of more than 10,000 elements to BLAS, and OpenBLAS left
@@ -292,7 +293,7 @@ class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
 
-    The query runs in place on ``x``.  On a gather plan ``coin`` writes its
+    The query runs in place on ``x``.  On a gather plan the coin writes its
     image to ``spare``, block by block and then the segment, and the shift
     gathers it back into ``x``.  On a sliced plan the step runs in blocks
     of vertices, each through views cut once per direction (see
@@ -369,41 +370,35 @@ class _Kernel:
             ]))
         return views
 
-    def arc_order(self, x: np.ndarray) -> np.ndarray:
-        """``x`` (the state or the spare buffer) in global arc order, in the
-        other buffer, whose pages are mapped already; the kernel is done."""
-        out = self.spare if x is self.x else self.x
+    def arc_order(self) -> np.ndarray:
+        """The state in global arc order, in the spare buffer, whose pages
+        are mapped already; the kernel is done."""
         for start, idx in _runs(self.g, self.plan):
-            out[idx] = x[start : start + idx.size]
-        return out
-
-    def coin(self) -> None:
-        """Write the coin's image of ``x`` to ``spare``."""
-        x, spare, sums = self.x, self.spare, self.sums
-        for d, start, width in self.plan.blocks:
-            rows = x[start : start + d * width].reshape(d, width)
-            part = sums[:width]
-            _port_sums(rows, part)
-            np.multiply(part, 2.0 / d, out=part)
-            # Row by row: a broadcast subtract would take a 64 KB buffer.
-            for row, out in zip(rows, spare[start : start + d * width].reshape(d, width)):
-                np.subtract(part, row, out=out)
-        if self.lengths.size:
-            seg, part = slice(self.plan.segment, None), sums[: self.starts.size]
-            np.add.reduceat(x, self.starts, out=part)
-            np.multiply(part, self.scale, out=part)
-            # Each vertex's scaled sum repeated over its arcs.  On K400 the
-            # repeat took 70 us against 151 for a gather through a per-arc
-            # rank array (one thread, 2-vCPU Xeon); its temporary is as
-            # large as that array was, but is not held between steps.
-            np.subtract(np.repeat(part, self.lengths), x[seg], out=spare[seg])
+            self.spare[idx] = self.x[start : start + idx.size]
+        return self.spare
 
     def step(self) -> None:
-        x, arcs, plan = self.x, self.arcs, self.plan
-        x[arcs] = -x[arcs]
+        x, spare, sums, plan = self.x, self.spare, self.sums, self.plan
+        x[self.arcs] = -x[self.arcs]
         if plan.slices is None:
-            self.coin()
-            np.take(self.spare, plan.shift, out=x, mode="wrap")
+            for d, start, width in plan.blocks:
+                rows = x[start : start + d * width].reshape(d, width)
+                part = sums[:width]
+                _port_sums(rows, part)
+                np.multiply(part, 2.0 / d, out=part)
+                # Row by row: a broadcast subtract would take a 64 KB buffer.
+                for row, out in zip(rows, spare[start : start + d * width].reshape(d, width)):
+                    np.subtract(part, row, out=out)
+            if self.lengths.size:
+                seg, part = slice(plan.segment, None), sums[: self.starts.size]
+                np.add.reduceat(x, self.starts, out=part)
+                np.multiply(part, self.scale, out=part)
+                # Each vertex's scaled sum repeated over its arcs.  On K400 the
+                # repeat took 70 us against 151 for a gather through a per-arc
+                # rank array (one thread, 2-vCPU Xeon); its temporary is as
+                # large as that array was, but is not held between steps.
+                np.subtract(np.repeat(part, self.lengths), x[seg], out=spare[seg])
+            np.take(spare, plan.shift, out=x, mode="wrap")
             return
         for views in self.block_views[0]:
             _run_block(views, self.block_scale)  # which also gathers fix_sums
@@ -412,8 +407,8 @@ class _Kernel:
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
-        self.spare[plan.fix] = self.fix_vals
-        self.x, self.spare = self.spare, x
+        spare[plan.fix] = self.fix_vals
+        self.x, self.spare = spare, x
 
     def norm(self) -> float:
         return math.sqrt(float(np.dot(self.x, self.x)))
@@ -434,9 +429,21 @@ def _run_block(views: tuple, scale: float) -> None:
         np.subtract(sums_part, rows_part, out=out)
 
 
+_DOT_RUN = 8192  # OpenBLAS runs a dot of at most 10,000 elements on one thread
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """The dots of ``x``'s runs of _DOT_RUN elements, added in order: unlike one long dot,
+    the same for any BLAS thread count, and ``np.dot(x, x)`` bit for bit up to _DOT_RUN."""
+    total = 0.0
+    for a in range(0, x.size, _DOT_RUN):
+        part = x[a : a + _DOT_RUN]
+        total += float(np.dot(part, part))
+    return total
+
+
 def _mass(amps: np.ndarray, idx: np.ndarray) -> float:
-    picked = amps[idx]
-    return float(np.dot(picked, picked))
+    return _sum_sq(amps[idx])
 
 
 def apply_query(state: WalkState, marked: Iterable[int]) -> WalkState:
@@ -448,11 +455,9 @@ def apply_query(state: WalkState, marked: Iterable[int]) -> WalkState:
 
 
 def apply_coin(state: WalkState) -> WalkState:
-    """Invert every vertex's arc amplitudes about their mean."""
-    g = state.graph
-    kernel = _Kernel(g, state.amplitudes, np.empty(0, dtype=np.int64))
-    kernel.coin()
-    return WalkState(kernel.arc_order(kernel.spare), g)
+    """Invert every vertex's arc amplitudes about their mean: a step with no
+    marked vertex, whose shift the second shift undoes."""
+    return apply_shift(step(state, ()))
 
 
 def apply_shift(state: WalkState) -> WalkState:
@@ -465,7 +470,7 @@ def step(state: WalkState, marked: Iterable[int]) -> WalkState:
     g = state.graph
     kernel = _Kernel(g, state.amplitudes, _marked_arc_indices(g, marked))
     kernel.step()
-    return WalkState(kernel.arc_order(kernel.x), g)
+    return WalkState(kernel.arc_order(), g)
 
 
 def marked_probability(state: WalkState, marked: Iterable[int]) -> float:
@@ -499,7 +504,7 @@ def evolve(
             raise NormDriftError(f"norm drifted to {norm!r} at step {t}; aborting evolution")
         if observer is not None:
             observer(t, kernel.mass())
-    return WalkState(kernel.arc_order(kernel.x), g)
+    return WalkState(kernel.arc_order(), g)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,26 @@ class TestRun:
         assert out.report["observed_max_p"] == 0.0
         jsonschema.validate(out.report, REPORT_SCHEMA)
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 32,000 marked arcs: OpenBLAS splits one dot that long across its
+        # threads, in an order set by their count, so the marked mass must
+        # be summed in shorter runs for the p_t series to stay put.
+        cfg = write_config(tmp_path / "pairs.json", {
+            "graph": {"family": "torus2d", "rows": 256, "cols": 256},
+            "marked": {"pairs": {"k": 4000, "seed": 1}},
+            "t_max": 60,
+        })
+        src = str(Path(experiments.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out_dir = tmp_path / f"threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "qwsearch.cli", "run", str(cfg), "--out-dir", str(out_dir)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            outputs.append(((out_dir / "pairs.csv").read_bytes(), (out_dir / "pairs.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestSelectDisjointPairs:
     def test_components_are_exactly_pairs(self, torus16):
@@ -853,6 +873,17 @@ class TestCli:
         write_edge_list(g, tmp_path / "path.txt")
         assert main(["solve", str(tmp_path / "path.txt"), "0"]) == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("marked, code, out, err", [
+        ("3", EXIT_OK, "a 5.00000000000000000e-01\n", ""),
+        ("1", EXIT_INFEASIBLE, "", "error: no stationary state for component (1,): bipartite side sums 2 != 0\n"),
+    ], ids=["isolated", "degree_2"])
+    def test_solve_a_single_vertex(self, tmp_path, capsys, marked, code, out, err):
+        # The path 0-1-2 and the isolated vertex 3: a single marked vertex
+        # has no internal edge, and is solvable exactly when it has no arc.
+        write_edge_list(build_graph([(0, 1), (1, 2)], 4), tmp_path / "g.txt")
+        assert main(["solve", str(tmp_path / "g.txt"), marked]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_verify_round_trip(self, tmp_path, capsys):
         from qwsearch import build_state, write_state_snapshot
 
@@ -897,6 +928,31 @@ class TestCli:
             "max_reverse_mismatch 0.00000000000000000e+00\n"
             "failed: marked vertex amplitudes do not sum to zero\n"
         )
+
+    @pytest.mark.parametrize("sign, out", [
+        (lambda v, c: "", (
+            "residual inf\n"
+            "unmarked_amplitude_spread 0.00000000000000000e+00\n"
+            "max_marked_vertex_sum inf\n"
+            "max_reverse_mismatch 0.00000000000000000e+00\n"
+            "failed: marked vertex amplitudes do not sum to zero\n"
+        )),
+        (lambda v, c: "-" if (v + c) % 2 else "", (
+            "residual inf\n"
+            "unmarked_amplitude_spread inf\n"
+            "max_marked_vertex_sum 0.00000000000000000e+00\n"
+            "max_reverse_mismatch inf\n"
+            "failed: unmarked amplitudes not all equal\n"
+            "failed: reverse-arc amplitudes differ\n"
+        )),
+    ], ids=["all_1e308", "alternating_1e308"])
+    def test_verify_overflow_fails_without_numpy_warnings(self, tmp_path, capsys, sign, out):
+        # The coin's sums and the vertex sums overflow to inf: the measures
+        # carry it into a failed check, with nothing on stderr.
+        write_edge_list(cycle_graph(5), tmp_path / "c5.txt")
+        (tmp_path / "s.txt").write_text("".join(f"{v} {c} {sign(v, c)}1e308\n" for v in range(5) for c in range(2)))
+        assert main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "s.txt")]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr() == (out, "")
 
     @pytest.mark.parametrize("graph, snapshot", [
         ("4 2\n0 1\n2 3\n", "0 0 0.0\n1 0 0.0\n2 0 0.0\n3 0 0.0\n"),

@@ -19,7 +19,6 @@ from qwsearch import (
     write_edge_list,
 )
 from qwsearch.experiments import select_disjoint_pairs
-from qwsearch.graphs import _token_counts
 from qwsearch.walk import _coin_plan
 
 from helpers import (
@@ -602,10 +601,7 @@ class TestReadEdgeListMatchesOracle:
 
     @given(st.sampled_from(["", "5 2\n", "5 3\r\n", " 4 1 \n\n"]), st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
     def test_random_text(self, header, pieces):
-        text = header + "".join(pieces)
-        lines = text.splitlines()
-        assert _token_counts(lines).tolist() == [len(line.split()) for line in lines]
-        assert_reads_as_the_oracle(text)
+        assert_reads_as_the_oracle(header + "".join(pieces))
 
     def test_valid_edge_list_reads_its_graph(self, tmp_path):
         path = tmp_path / "g.txt"

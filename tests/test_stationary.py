@@ -95,6 +95,10 @@ class TestSolveMinNorm:
         with pytest.raises(InfeasibleComponentError, match="side sums 4 != 0"):
             solve_min_norm(single_component(torus4, {5}))
 
+    def test_isolated_vertex_has_no_coefficients(self):
+        asg = solve_min_norm(single_component(build_graph([(0, 1)], 3), {2}))
+        assert asg.coefficients == {} and asg.sum_sq_directed == 0.0
+
     def test_vertex_constraints_hold(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -139,6 +139,11 @@ class TestCoin:
         assert out.amplitudes.size == 2
         assert out.norm() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_arcless_state_stays_empty(self, n):
+        out = apply_coin(WalkState(np.zeros(0), build_graph([], n)))
+        assert out.amplitudes.dtype == np.float64 and out.amplitudes.size == 0
+
 
 class TestShift:
     def test_moves_to_reverse_arc(self, cycle5):
@@ -225,6 +230,18 @@ class TestMarkedProbability:
     def test_full_marked_set_is_one(self, torus4):
         s = unit_state(torus4, 33)
         assert marked_probability(s, range(torus4.n)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [0, 1, 100, walk._DOT_RUN])
+    def test_sum_of_squares_is_one_dot_up_to_a_run(self, size):
+        x = np.random.default_rng(size).standard_normal(size)
+        assert walk._sum_sq(x).hex() == float(np.dot(x, x)).hex()
+
+    def test_sum_of_squares_adds_the_dots_of_runs_in_order(self):
+        # A longer dot is split in an order set by the BLAS thread count.
+        run = walk._DOT_RUN
+        x = np.random.default_rng(3).standard_normal(3 * run + 5)
+        dots = [float(np.dot(x[a : a + run], x[a : a + run])) for a in range(0, x.size, run)]
+        assert walk._sum_sq(x).hex() == (((dots[0] + dots[1]) + dots[2]) + dots[3]).hex()
 
 
 class TestEvolve:
