@@ -109,12 +109,22 @@ def _port_sums(rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def _page_placed(size: int, quarter: int) -> np.ndarray:
-    """An uninitialised float64 array of ``size`` starting ``quarter``/4 of the way into a 4 KB page.
-    Left to malloc, the relative placement of the step's buffers moved a 128x128 torus step by up
-    to a third (about 65 vs 85 us, one thread on a 2-vCPU Xeon), whatever was allocated before."""
+    """An uninitialised float64 array of ``size`` starting ``quarter``/4 of the way into a 4 KB page,
+    so on a 64-byte line.  Left to malloc, the relative placement of the step's buffers moved a
+    128x128 torus step by up to a third (about 65 vs 85 us, one thread on a 2-vCPU Xeon), whatever
+    was allocated before."""
     raw = np.empty(size + 512)
     start = (1024 * quarter - raw.ctypes.data) % 4096 // 8
     return raw[start : start + size]
+
+
+def _line_cuts(out: np.ndarray) -> list[tuple[int, int]]:
+    """``out``'s index ranges split where it first reaches a 64-byte line: a head of at most 7
+    elements, then a body that starts on a line; empty ranges left out.  numpy's subtract took
+    8.5-9.8 us to store 16,128 float64s starting mid-line and 4.3-4.6 us on a line, and its
+    inputs' placement mattered far less (numpy 2.4, AVX-512 Xeon)."""
+    head = min(out.size, -out.ctypes.data % 64 // out.itemsize)
+    return [(i, j) for i, j in ((0, head), (head, out.size)) if i < j]
 
 
 # Largest degree with a port-major block.  A vertex's coin sum must equal
@@ -303,7 +313,10 @@ class _Kernel:
     subtract over the block while its rows are still in cache.  The
     fix-ups follow, after which the two buffers swap roles.  Every
     amplitude is ``sums[w]*(2/d) - x[p, w]`` however the vertices are
-    blocked, so every layout gives the same bits.
+    blocked, so every layout gives the same bits.  Each row store of the
+    coin's image is cut once, here, into a head of at most 7 elements and
+    a body that starts on a 64-byte line (see _line_cuts): a 128x128 torus
+    step went from 55-58 to 46-52 us (one thread, 2-vCPU Xeon).
 
     The blocks run on the calling thread.  Split across two threads, 200
     steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
@@ -333,6 +346,19 @@ class _Kernel:
         self.starts = np.cumsum(lengths) + plan.segment - lengths
         self.scale, self.lengths = 2.0 / lengths, lengths
         if plan.slices is None:
+            # Each block's rows, its part of ``sums``, its scale and its
+            # rows' subtracts, and the segment's, cut where each store
+            # reaches a line (see _line_cuts).
+            self.coin_blocks = []
+            for d, start, width in plan.blocks:
+                rows, part = self.x[start : start + d * width].reshape(d, width), self.sums[:width]
+                self.coin_blocks.append((rows, part, 2.0 / d, [
+                    (part[i:j], row[i:j], out[i:j])
+                    for row, out in zip(rows, self.spare[start : start + d * width].reshape(d, width))
+                    for i, j in _line_cuts(out)
+                ]))
+            x_seg, out_seg = self.x[plan.segment :], self.spare[plan.segment :]
+            self.segment_pieces = [(i, j, x_seg[i:j], out_seg[i:j]) for i, j in _line_cuts(out_seg)]
             return
         self.block_scale = 2.0 / plan.blocks[0][0]
         # The fix-up buffers, so a step allocates nothing.
@@ -350,7 +376,8 @@ class _Kernel:
         vertices, less ``s``, of the fix-ups that read vertices ``a:b``,
         and their run of ``fix_sums``; and for each row q whose slice
         meets the block, clipped to positions ``j0:j1``, its subtract's two
-        operands and its output.
+        operands and its output, in two pieces where the output first
+        reaches a 64-byte line (see _line_cuts).
         """
         plan, sums = self.plan, self.sums
         [(d, _, n)] = plan.blocks
@@ -364,9 +391,10 @@ class _Kernel:
             s = min([a] + [j0 + k for _, _, k, j0, _ in moves])
             e = max([b] + [j1 + k for _, _, k, _, j1 in moves])
             lo, hi = np.searchsorted(plan.fix_v, (a, b))
+            pieces = [(q, p, k, j0 + i, j0 + j) for q, p, k, j0, j1 in moves for i, j in _line_cuts(out[q, j0:j1])]
             views.append((rows[:, s:e], sums[: e - s], plan.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
                 (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1])
-                for q, p, k, j0, j1 in moves
+                for q, p, k, j0, j1 in pieces
             ]))
         return views
 
@@ -381,23 +409,23 @@ class _Kernel:
         x, spare, sums, plan = self.x, self.spare, self.sums, self.plan
         x[self.arcs] = -x[self.arcs]
         if plan.slices is None:
-            for d, start, width in plan.blocks:
-                rows = x[start : start + d * width].reshape(d, width)
-                part = sums[:width]
+            for rows, part, scale, pieces in self.coin_blocks:
                 _port_sums(rows, part)
-                np.multiply(part, 2.0 / d, out=part)
+                np.multiply(part, scale, out=part)
                 # Row by row: a broadcast subtract would take a 64 KB buffer.
-                for row, out in zip(rows, spare[start : start + d * width].reshape(d, width)):
-                    np.subtract(part, row, out=out)
+                for part_piece, row, out in pieces:
+                    np.subtract(part_piece, row, out=out)
             if self.lengths.size:
-                seg, part = slice(plan.segment, None), sums[: self.starts.size]
+                part = sums[: self.starts.size]
                 np.add.reduceat(x, self.starts, out=part)
                 np.multiply(part, self.scale, out=part)
                 # Each vertex's scaled sum repeated over its arcs.  On K400 the
                 # repeat took 70 us against 151 for a gather through a per-arc
                 # rank array (one thread, 2-vCPU Xeon); its temporary is as
                 # large as that array was, but is not held between steps.
-                np.subtract(np.repeat(part, self.lengths), x[seg], out=spare[seg])
+                repeated = np.repeat(part, self.lengths)
+                for i, j, x_piece, out in self.segment_pieces:
+                    np.subtract(repeated[i:j], x_piece, out=out)
             np.take(spare, plan.shift, out=x, mode="wrap")
             return
         for views in self.block_views[0]:

@@ -353,15 +353,19 @@ KERNEL_GRAPHS = {
 CASES = sorted(KERNEL_GRAPHS) + sorted(SHIFT_GRAPHS)
 
 
+def mixed_unit_amplitudes(g, seed):
+    """A unit state on ``g`` with mixed magnitudes and signed zeros."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-6, 7, size=g.arc_count)
+    amps[rng.choice(g.arc_count, size=4, replace=False)] = [0.0, -0.0, -0.0, 0.0]
+    return amps / np.linalg.norm(amps)
+
+
 def kernel_case(name):
     """A graph, a unit state with mixed magnitudes and signed zeros, and two
     marked vertices of positive degree."""
     g = {**KERNEL_GRAPHS, **SHIFT_GRAPHS}[name]()
-    rng = np.random.default_rng(CASES.index(name))
-    amps = rng.standard_normal(g.arc_count) * 10.0 ** rng.integers(-6, 7, size=g.arc_count)
-    amps[rng.choice(g.arc_count, size=4, replace=False)] = [0.0, -0.0, -0.0, 0.0]
-    amps /= np.linalg.norm(amps)
-    return g, amps, [0, g.n // 2]
+    return g, mixed_unit_amplitudes(g, CASES.index(name)), [0, g.n // 2]
 
 
 def assert_runs_tile_the_layout(g, plan):
@@ -615,6 +619,132 @@ class TestBlockedStep:
         with pytest.raises(NormDriftError, match="nan at step 3"):
             evolve(WalkState(amps, g), marked, 10, observer=lambda t, p: seen.append(t))
         assert seen == [0, 1, 2]
+
+
+def assert_store_starts_on_a_line(outs, base, start, stop):
+    """``outs`` write positions ``start:stop`` of ``base`` in order, and each
+    starts on a 64-byte line or is a head of fewer than 8 elements, at
+    ``start``, that ends on a line or at ``stop``."""
+    at = start
+    for out in outs:
+        assert _at(out, base) == at and out.size > 0
+        if out.ctypes.data % 64:
+            assert at == start and out.size < 8
+            assert (out.ctypes.data + out.nbytes) % 64 == 0 or at + out.size == stop
+        at += out.size
+    assert at == stop
+
+
+# Sliced layouts for the 64-byte line tests: (graph, block vertices).
+LINE_SLICED = {
+    "torus128": (lambda: torus2d_graph(128, 128), 1 << 15),  # the ±1 rows start 8 and 16 bytes past a line
+    "torus256_two_blocks": (lambda: torus2d_graph(256, 256), 1 << 15),
+    "torus7x9_blocks_of_8": (lambda: torus2d_graph(7, 9), 8),
+    "torus6x13_blocks_of_5": (lambda: torus2d_graph(6, 13), 5),
+    "cycle101_blocks_of_16": (lambda: cycle_graph(101), 16),
+}
+
+# Layouts whose row starts, together, fall at every residue mod 8 of a
+# 64-byte line in both plans, and one whose segment starts mid-line:
+# (graph, sliced).
+LINE_LAYOUTS = {
+    "torus5x5": (lambda: torus2d_graph(5, 5), True),  # rows at 0, 25, 50, 75: residues 0-3
+    "torus7x9": (lambda: torus2d_graph(7, 9), True),  # 0, 63, 126, 189: 0, 7, 6, 5
+    "cycle44": (lambda: cycle_graph(44), True),  # 0, 44: 0, 4
+    "random_regular21_d4": (lambda: random_regular_graph(21, 4, seed=1), False),  # 0, 5, 2, 7
+    "random_regular19_d6": (lambda: random_regular_graph(19, 6, seed=1), False),  # 0, 3, 6, 1, 4, 7
+    "mixed": (mixed_graph, False),  # the segment starts at 73
+}
+
+
+# Gather layouts for them: those above, and eight blocks with a segment.
+LINE_GATHER = {
+    **{name: build for name, (build, sliced) in LINE_LAYOUTS.items() if not sliced},
+    "sparse_irregular": sparse_irregular_graph,
+}
+
+
+class TestLineStarts:
+    """Every row store of the coin's image starts on a 64-byte line, but
+    for a head of at most 7 elements, in both plans."""
+
+    @pytest.mark.parametrize("name", sorted(LINE_SLICED))
+    def test_sliced_stores_in_both_directions(self, name, monkeypatch):
+        build, block = LINE_SLICED[name]
+        monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
+        monkeypatch.setattr(walk, "_BLOCK_VERTICES", block)
+        g = build()
+        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+        plan, n = kernel.plan, g.n
+        for dst, views in ((kernel.spare, kernel.block_views[0]), (kernel.x, kernel.block_views[1])):
+            count = len(views)
+            assert count == -(-n // block)
+            for i, (*_, moves) in enumerate(views):
+                a, b = n * i // count, n * (i + 1) // count
+                for q, (_, _, lo, hi) in enumerate(plan.slices):
+                    outs = [out for _, _, out in moves if _at(out, dst) // n == q]
+                    j0, j1 = max(a, lo), min(b, hi)
+                    assert_store_starts_on_a_line(outs, dst, q * n + j0, q * n + max(j0, j1))
+
+    def test_a_sliced_store_off_a_line_takes_a_head(self):
+        g = torus2d_graph(128, 128)
+        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+        [(*_, moves)] = kernel.block_views[0]
+        heads = sorted(out.size for _, _, out in moves if out.ctypes.data % 64)
+        assert len(moves) == 6 and heads == [6, 7]  # rows 1 and 2 start 1 and 2 elements in
+
+    @pytest.mark.parametrize("name", sorted(LINE_GATHER))
+    def test_gather_row_pieces_and_segment(self, name):
+        g = LINE_GATHER[name]()
+        kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
+        plan = kernel.plan
+        assert plan.slices is None and len(kernel.coin_blocks) == len(plan.blocks)
+        heads = 0
+        for (d, start, width), (rows, part, scale, pieces) in zip(plan.blocks, kernel.coin_blocks):
+            assert _at(rows, kernel.x) == start and rows.shape == (d, width) and scale == 2.0 / d
+            assert _at(part, kernel.sums) == 0 and part.size == width
+            row_outs = [[] for _ in range(d)]
+            for part_piece, row, out in pieces:
+                p, i = divmod(_at(out, kernel.spare) - start, width)
+                assert _at(part_piece, kernel.sums) == i and _at(row, kernel.x) == start + p * width + i
+                assert part_piece.size == row.size == out.size
+                row_outs[p].append(out)
+                heads += bool(out.ctypes.data % 64)
+            for p, outs in enumerate(row_outs):
+                assert_store_starts_on_a_line(outs, kernel.spare, start + p * width, start + (p + 1) * width)
+        seg_outs = []
+        for i, j, x_piece, out in kernel.segment_pieces:
+            assert _at(x_piece, kernel.x) == _at(out, kernel.spare) == plan.segment + i
+            assert x_piece.size == out.size == j - i
+            seg_outs.append(out)
+        assert_store_starts_on_a_line(seg_outs, kernel.spare, plan.segment, g.arc_count)
+        assert heads  # some row starts mid-line
+
+
+def test_line_layouts_cover_every_residue():
+    residues = {True: set(), False: set()}
+    for build, sliced in LINE_LAYOUTS.values():
+        plan = _CoinPlan.build(build())
+        residues[sliced] |= {(start + p * width) % 8 for d, start, width in plan.blocks for p in range(d)}
+    assert residues == {True: set(range(8)), False: set(range(8))}
+    assert _CoinPlan.build(mixed_graph()).segment % 8
+
+
+@pytest.mark.parametrize("name", sorted(LINE_LAYOUTS))
+def test_stores_at_every_line_offset_match_the_reference(name, monkeypatch):
+    build, sliced = LINE_LAYOUTS[name]
+    if sliced:
+        monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
+    g = build()
+    assert (_coin_plan(g).slices is not None) == sliced
+    amps, marked = mixed_unit_amplitudes(g, len(name)), [0, g.n // 2]
+    seen = []
+    out = evolve(WalkState(amps, g), marked, 30, observer=lambda t, p: seen.append(p))
+    ref_seen, ref_amps = reference_evolve(g, amps, marked, 30)
+    assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+    assert out.amplitudes.tobytes() == ref_amps.tobytes()
+    assert step(WalkState(amps, g), marked).amplitudes.tobytes() == reference_evolve(g, amps, marked, 1)[1].tobytes()
+    assert apply_coin(WalkState(amps, g)).amplitudes.tobytes() == reference_coin_of(g)(amps).tobytes()
 
 
 @pytest.mark.parametrize("build, sliced", [
