@@ -497,7 +497,9 @@ def _worker_count(n_jobs: int) -> int:
         if cap < 1:
             raise ValueError(f"QWALK_THREADS must be positive, got {env!r}")
     else:
-        cap = min(4, os.cpu_count() or 1)
+        # The CPUs this process may run on, as under taskset, not every CPU of the host.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        cap = min(4, cpus)
     return max(1, min(cap, n_jobs))
 
 

@@ -26,11 +26,14 @@ blocks read them.  Every layout computes each amplitude by the same
 operations, so all give results bit for bit equal to the step as written
 above.
 
-``evolve``'s norm guard is one dot of the whole state after every step.
-numpy hands a dot of more than 10,000 elements to BLAS, and OpenBLAS left
-at its default thread count runs it on threads of its own that spin on
-the other cores: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1), as the
-benchmark harness does.
+``evolve``'s norm guard reads the sum of squares that every step leaves
+behind.  A gather plan and a one-block sliced plan take it as one dot of
+the whole state; a sliced plan of several blocks dots each block's output
+rows while they are still in cache, and corrects the sum for the fix-ups
+that overwrite them.  numpy hands a dot of more than 10,000 elements to
+BLAS, and OpenBLAS left at its default thread count runs it on threads of
+its own that spin on the other cores: pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1), as the benchmark harness does.
 """
 
 from __future__ import annotations
@@ -108,12 +111,12 @@ def _port_sums(rows: np.ndarray, out: np.ndarray) -> None:
         np.add(rows[0], out, out=out)
 
 
-def _page_placed(size: int, quarter: int) -> np.ndarray:
-    """An uninitialised float64 array of ``size`` starting ``quarter``/4 of the way into a 4 KB page,
-    so on a 64-byte line.  Left to malloc, the relative placement of the step's buffers moved a
-    128x128 torus step by up to a third (about 65 vs 85 us, one thread on a 2-vCPU Xeon), whatever
-    was allocated before."""
-    raw = np.empty(size + 512)
+def _page_placed(size: int, quarter: int, alloc=np.empty) -> np.ndarray:
+    """A float64 array of ``size`` from ``alloc`` (uninitialised, or np.zeros) starting ``quarter``/4
+    of the way into a 4 KB page, so on a 64-byte line.  Left to malloc, the relative placement of the
+    step's buffers moved a 128x128 torus step by up to a third (about 65 vs 85 us, one thread on a
+    2-vCPU Xeon), whatever was allocated before."""
+    raw = alloc(size + 512)
     start = (1024 * quarter - raw.ctypes.data) % 4096 // 8
     return raw[start : start + size]
 
@@ -145,14 +148,23 @@ _SLICE_MAX_FIX_FRACTION = 0.25
 
 # Most vertices in a block of the sliced step: a graph of n vertices takes
 # ceil(n / _BLOCK_VERTICES) blocks whose widths differ by at most one (see
-# _Kernel._block_views), so a graph of up to 2^15 vertices is one block.
-# A full block of a 4-regular torus reads 1 MB of the state and writes
-# 1 MB.  Per step against one block (one thread on a 2-vCPU Xeon with 2 MB
-# of L2 per core, OpenBLAS pinned): 0.88-0.92 on the 256x256 torus, 0.73 on
-# 512x512 and 0.81-0.90 on cycle(40000).  Blocks of exactly 2^15 vertices
-# would leave a runt last block, and blocks of 2^13 to 2^16 vertices took
-# within 7% of each other at 2^18 vertices (BENCH_blockwidth.json).
-_BLOCK_VERTICES = 1 << 15
+# _block_bounds), so a graph of up to 2^14 vertices is one block.  A full
+# block of a 4-regular torus reads 0.5 MB of the state and writes 0.5 MB;
+# with its sums that is about 1.1 MB, still in a 2 MB L2 when the norm
+# guard dots the block's output.  Blocks of exactly 2^14 vertices would
+# leave a runt last block.  On the 512x512 torus, step plus guard (one
+# thread on a 2-vCPU Xeon with 2 MB of L2 per core, OpenBLAS pinned) took
+# a median of 1.51 ms in blocks of 2^15 without the fold and 1.32 ms in
+# blocks of 2^14 with it; the fold alone at 2^15 took 1.43 ms, 2^14 alone
+# 1.49 ms, and blocks of 2^13 with the fold 1.41 ms (BENCH_normfold.json).
+_BLOCK_VERTICES = 1 << 14
+
+
+def _block_bounds(n: int) -> list[tuple[int, int]]:
+    """The vertex ranges ``a:b`` of the sliced step's ceil(n / _BLOCK_VERTICES)
+    blocks, with bounds n*i//count so their widths differ by at most one."""
+    count = -(-n // _BLOCK_VERTICES)
+    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -318,6 +330,18 @@ class _Kernel:
     a body that starts on a 64-byte line (see _line_cuts): a 128x128 torus
     step went from 55-58 to 46-52 us (one thread, 2-vCPU Xeon).
 
+    Each step leaves the state's sum of squares in ``sum_sq`` for the norm
+    guard.  On a sliced plan of several blocks, the step dots each block's
+    output rows right after the block writes them (see _dot_runs), so they
+    are read from L2 rather than in a second pass over the state; those
+    dots see the fix-up positions as they were before the scatter, so just
+    before it the step adds the fix-ups' new squares less their old ones
+    over the positions in the blocks already dotted, and it dots the last
+    block after the scatter.  A one-block plan, like a gather plan, dots
+    the whole state once after its fix-ups.  The buffer that the first
+    step writes starts zeroed: the correction reads fix-up positions that
+    no slice has written yet.
+
     The blocks run on the calling thread.  Split across two threads, 200
     steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
     2-vCPU host, but each numpy call retakes the interpreter lock: with
@@ -331,7 +355,7 @@ class _Kernel:
     def __init__(self, g: Graph, amplitudes: np.ndarray, arcs: np.ndarray):
         self.g, self.plan = g, _coin_plan(g)
         plan, lengths = self.plan, g.degrees[g.degrees > _PORT_MAJOR_MAX_DEGREE]
-        self.x, self.spare = _page_placed(amplitudes.size, 0), _page_placed(amplitudes.size, 1)
+        self.x, self.spare = _page_placed(amplitudes.size, 0), _page_placed(amplitudes.size, 1, np.zeros)
         self.sums = _page_placed(max([width for *_, width in plan.blocks] + [lengths.size]), 2)
         # The marked arcs' positions in the order of ``arcs``, so _mass adds
         # the same terms in turn.  Each run's arcs ascend.
@@ -364,28 +388,34 @@ class _Kernel:
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
         self.block_views = (self._block_views(self.x, self.spare), self._block_views(self.spare, self.x))
+        self.dot_runs = (self._dot_runs(self.spare), self._dot_runs(self.x))
+        # The fix-ups that land in the blocks dotted before the scatter: their
+        # indices in fix-up order and their positions, and buffers for both
+        # gathers of the correction.
+        [(_, _, n)] = plan.blocks
+        [*_, (last, _)] = _block_bounds(n)
+        self.early = np.flatnonzero(plan.fix % n < last)
+        self.early_at = plan.fix[self.early]
+        self.early_new, self.early_old = np.empty(self.early.size), np.empty(self.early.size)
 
     def _block_views(self, src: np.ndarray, dst: np.ndarray) -> list:
         """The views each block works on in a step from ``src`` to ``dst``.
 
-        The n vertices split into ceil(n / _BLOCK_VERTICES) contiguous
-        blocks whose widths differ by at most one.  A block that owns
-        vertices ``a:b`` has, in turn: the source rows over ``s:e``, the
-        block and its halo of up to max|k| vertices, which its slice
-        subtracts read; the part of ``sums`` that holds their sums; the
-        vertices, less ``s``, of the fix-ups that read vertices ``a:b``,
-        and their run of ``fix_sums``; and for each row q whose slice
-        meets the block, clipped to positions ``j0:j1``, its subtract's two
-        operands and its output, in two pieces where the output first
-        reaches a 64-byte line (see _line_cuts).
+        The n vertices split into the contiguous blocks of _block_bounds.
+        A block that owns vertices ``a:b`` has, in turn: the source rows
+        over ``s:e``, the block and its halo of up to max|k| vertices,
+        which its slice subtracts read; the part of ``sums`` that holds
+        their sums; the vertices, less ``s``, of the fix-ups that read
+        vertices ``a:b``, and their run of ``fix_sums``; and for each row q
+        whose slice meets the block, clipped to positions ``j0:j1``, its
+        subtract's two operands and its output, in two pieces where the
+        output first reaches a 64-byte line (see _line_cuts).
         """
         plan, sums = self.plan, self.sums
         [(d, _, n)] = plan.blocks
         rows, out = src.reshape(d, n), dst.reshape(d, n)
-        count = -(-n // _BLOCK_VERTICES)
         views = []
-        for i in range(count):
-            a, b = n * i // count, n * (i + 1) // count
+        for a, b in _block_bounds(n):
             moves = [(q, p, k, max(a, lo), min(b, hi)) for q, (p, k, lo, hi) in enumerate(plan.slices)]
             moves = [move for move in moves if move[3] < move[4]]
             s = min([a] + [j0 + k for _, _, k, j0, _ in moves])
@@ -397,6 +427,17 @@ class _Kernel:
                 for q, p, k, j0, j1 in pieces
             ]))
         return views
+
+    def _dot_runs(self, dst: np.ndarray) -> tuple[list, list]:
+        """The runs of ``dst`` that the norm guard dots in a step that writes
+        it: for each block, its output rows as maximal contiguous runs, the
+        whole of ``dst`` for a single block.  The last block's runs come
+        apart, as they are dotted after the fix-ups; in the list of the
+        others, dotted as each block is written, its place is empty."""
+        [(d, _, n)] = self.plan.blocks
+        out = dst.reshape(d, n)
+        runs = [[dst] if b - a == n else list(out[:, a:b]) for a, b in _block_bounds(n)]
+        return runs[:-1] + [[]], runs[-1]
 
     def arc_order(self) -> np.ndarray:
         """The state in global arc order, in the spare buffer, whose pages
@@ -427,19 +468,32 @@ class _Kernel:
                 for i, j, x_piece, out in self.segment_pieces:
                     np.subtract(repeated[i:j], x_piece, out=out)
             np.take(spare, plan.shift, out=x, mode="wrap")
+            self.sum_sq = float(np.dot(x, x))
             return
-        for views in self.block_views[0]:
+        (block_runs, last_runs), total = self.dot_runs[0], 0.0
+        for views, runs in zip(self.block_views[0], block_runs):
             _run_block(views, self.block_scale)  # which also gathers fix_sums
-        self.block_views = self.block_views[::-1]
+            for run in runs:  # every block's but the last's
+                total += float(np.dot(run, run))
+        self.block_views, self.dot_runs = self.block_views[::-1], self.dot_runs[::-1]
         np.take(x, plan.fix_src, out=self.fix_vals, mode="wrap")
         np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
+        if self.early.size:
+            new, old = self.early_new, self.early_old
+            np.take(self.fix_vals, self.early, out=new, mode="wrap")
+            np.take(spare, self.early_at, out=old, mode="wrap")
+            total += float(np.dot(new, new)) - float(np.dot(old, old))
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
         spare[plan.fix] = self.fix_vals
+        for run in last_runs:
+            total += float(np.dot(run, run))
+        self.sum_sq = total
         self.x, self.spare = spare, x
 
     def norm(self) -> float:
-        return math.sqrt(float(np.dot(self.x, self.x)))
+        """The norm of the state after the last step, from the step's sum of squares."""
+        return math.sqrt(self.sum_sq)
 
     def mass(self) -> float:
         return _mass(self.x, self.arcs)

@@ -1083,6 +1083,17 @@ class TestCli:
         assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: QWALK_THREADS must be positive, got '{threads}'\n"
 
+    def test_default_workers_follow_the_affinity_mask_and_qwalk_threads_wins(self, monkeypatch):
+        monkeypatch.delenv("QWALK_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiments._worker_count(8) == 1  # one CPU allowed of the host's eight
+        monkeypatch.setenv("QWALK_THREADS", "3")
+        assert experiments._worker_count(8) == 3
+        monkeypatch.delenv("QWALK_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiments._worker_count(8) == 4  # no affinity mask: the host's count, capped at 4
+
     def test_run_of_a_graph_with_no_arcs_is_exit_1(self, tmp_path, capsys):
         (tmp_path / "empty.txt").write_text("3 0\n")
         cfg = write_config(tmp_path / "empty.json", {"graph": {"edge_list": "empty.txt"}, "marked": {"vertices": [0]}})

@@ -554,7 +554,12 @@ class TestBlockedStep:
             assert (len(kernel.block_views[0]) > 1) == (width < g.n)
             for _ in range(20):
                 kernel.step()
-                assert kernel.norm() == math.sqrt(np.dot(kernel.x, kernel.x))
+                x = kernel.x
+                if width == g.n:
+                    assert kernel.norm() == math.sqrt(np.dot(x, x))
+                else:  # the blocks' dots and the fix-up correction: within summation error
+                    exact = math.fsum(x * x)
+                    assert abs(kernel.norm() ** 2 - exact) <= g.arc_count * 2**-52 * exact
 
     def test_blocks_cover_the_vertices_and_read_within_their_halo(self, monkeypatch):
         monkeypatch.setattr(walk, "_SLICE_MAX_FIX_FRACTION", 1.0)
@@ -579,9 +584,9 @@ class TestBlockedStep:
 
     @pytest.mark.parametrize("build, widths", [
         (lambda: torus2d_graph(128, 128), [16384]),
-        (lambda: torus2d_graph(256, 256), [32768, 32768]),
-        (lambda: cycle_graph(40000), [20000, 20000]),
-        (lambda: torus2d_graph(182, 181), [16471, 16471]),  # 32,942 vertices: no runt block
+        (lambda: torus2d_graph(256, 256), [16384] * 4),
+        (lambda: cycle_graph(40000), [13333, 13333, 13334]),
+        (lambda: torus2d_graph(182, 181), [10980, 10981, 10981]),  # 32,942 vertices: no runt block
     ], ids=["torus128", "torus256", "cycle40000", "torus182x181"])
     def test_block_widths_at_the_real_block_size(self, build, widths):
         g = build()
@@ -621,6 +626,83 @@ class TestBlockedStep:
         assert seen == [0, 1, 2]
 
 
+def guard_case(blocked, name):
+    """A multi-block sliced walk: torus7x9 in 8 blocks, or the 256x256 torus
+    in blocks of the real size."""
+    if name == "torus7x9":
+        g, amps, marked, *_ = blocked(name)
+    else:
+        g = torus2d_graph(256, 256)
+        amps, marked = random_unit_state_vector(np.random.default_rng(11), g.arc_count), [0, 1, 32767, 32768]
+    assert len(walk._block_bounds(g.n)) == (8 if name == "torus7x9" else 4)
+    return g, amps, marked
+
+
+def poison_step_3(monkeypatch, g, where):
+    """Make step 3 write a NaN at one position of its output: one that only
+    a slice writes, in an early block ("early"); the first of the last
+    block ("last"); or a fix-up's, in an early block ("early_fix").  The
+    first is dotted only with its block, the second only after the
+    scatter, the third only by the correction."""
+    plan, bounds = _coin_plan(g), walk._block_bounds(g.n)
+    cols, is_fix = np.arange(g.arc_count) % g.n, np.zeros(g.arc_count, dtype=bool)
+    is_fix[plan.fix] = True
+    early, last = cols < bounds[-1][0], cols >= bounds[-1][0]
+    at = int(np.flatnonzero({"early": early & ~is_fix, "last": last, "early_fix": early & is_fix}[where])[0])
+    if is_fix[at]:  # through its coin sum, once the last block has gathered them all
+        block, buffer, at = len(bounds) - 1, "fix_sums", int(np.flatnonzero(plan.fix == at)[0])
+    else:  # in the output, once its block has written it
+        block, buffer = next(i for i, (a, b) in enumerate(bounds) if a <= cols[at] < b), "spare"
+    kernels, calls = [], []
+    real_step, real_block = _Kernel.step, walk._run_block
+
+    def step(self):
+        kernels.append(self)
+        real_step(self)
+
+    def run_block(views, scale):
+        real_block(views, scale)
+        calls.append(views)
+        if len(calls) == 2 * len(bounds) + block + 1:
+            getattr(kernels[-1], buffer)[at] = np.nan
+
+    monkeypatch.setattr(_Kernel, "step", step)
+    monkeypatch.setattr(walk, "_run_block", run_block)
+
+
+class TestFoldedNormGuard:
+    """The guard of a multi-block sliced step sums its squares block by
+    block and corrects for the fix-ups; a NaN in any part stops the walk."""
+
+    @pytest.mark.parametrize("where", ["early", "last", "early_fix"])
+    @pytest.mark.parametrize("name", ["torus7x9", "torus256"])
+    def test_nan_in_each_part_stops_at_its_step(self, blocked, monkeypatch, name, where):
+        g, amps, marked = guard_case(blocked, name)
+        poison_step_3(monkeypatch, g, where)
+        seen = []
+        with pytest.raises(NormDriftError, match="nan at step 3"):
+            evolve(WalkState(amps, g), marked, 10, observer=lambda t, p: seen.append(t))
+        assert seen == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["torus7x9", "torus256"])
+    def test_buffers_are_written_before_the_guard_reads_them(self, blocked, monkeypatch, name):
+        g, amps, marked = guard_case(blocked, name)
+        real = walk._page_placed
+
+        def nan_filled(size, quarter, alloc=np.empty):
+            out = real(size, quarter, alloc)
+            if alloc is np.empty:  # every buffer not asked for zeroed
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(walk, "_page_placed", nan_filled)
+        seen = []
+        out = evolve(WalkState(amps, g), marked, 20, observer=lambda t, p: seen.append(p))
+        ref_seen, ref_amps = reference_evolve(g, amps, marked, 20)
+        assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
+        assert out.amplitudes.tobytes() == ref_amps.tobytes()
+
+
 def assert_store_starts_on_a_line(outs, base, start, stop):
     """``outs`` write positions ``start:stop`` of ``base`` in order, and each
     starts on a 64-byte line or is a head of fewer than 8 elements, at
@@ -637,8 +719,8 @@ def assert_store_starts_on_a_line(outs, base, start, stop):
 
 # Sliced layouts for the 64-byte line tests: (graph, block vertices).
 LINE_SLICED = {
-    "torus128": (lambda: torus2d_graph(128, 128), 1 << 15),  # the ±1 rows start 8 and 16 bytes past a line
-    "torus256_two_blocks": (lambda: torus2d_graph(256, 256), 1 << 15),
+    "torus128": (lambda: torus2d_graph(128, 128), 1 << 14),  # the ±1 rows start 8 and 16 bytes past a line
+    "torus256_four_blocks": (lambda: torus2d_graph(256, 256), 1 << 14),
     "torus7x9_blocks_of_8": (lambda: torus2d_graph(7, 9), 8),
     "torus6x13_blocks_of_5": (lambda: torus2d_graph(6, 13), 5),
     "cycle101_blocks_of_16": (lambda: cycle_graph(101), 16),
