@@ -12,8 +12,8 @@ e.g. "3,4"; a list starting with "-" is still the list.  --t-max is at
 most 10^6.  --assignment FILE is read from the working directory.
 QWALK_THREADS caps sweep workers, and a sweep given no *.json config
 exits 1.  Exit statuses: 0 ok, 1 input error (a graph too large to
-allocate, a vertex count above the int64 maximum and a --t-max above
-10^6 included), 2 infeasible stationary request (no stationary state, or
+allocate, a vertex count above the int64 maximum, a --t-max above 10^6
+and an assignment whose sum of squares overflows included), 2 infeasible stationary request (no stationary state, or
 a zero one), 3 dominance/stationarity check failed or the walk's norm
 drifted.
 """

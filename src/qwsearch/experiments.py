@@ -36,7 +36,8 @@ chosen deterministically from the seed.
 
 Exit statuses: 0 = dominance and stationarity checks passed, 1 = input
 error (a graph too large to allocate, a vertex count above the int64
-maximum and a ``t_max`` above T_MAX_LIMIT included), 2 = infeasible
+maximum, a ``t_max`` above T_MAX_LIMIT and an assignment whose sum of
+squares overflows included), 2 = infeasible
 stationary request (no stationary state, or a zero one), 3 = a check
 failed, the walk's norm guard (NormDriftError) included.
 

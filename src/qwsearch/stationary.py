@@ -59,14 +59,6 @@ class InfeasibleComponentError(ValueError):
     constraints, or every one gives the zero state."""
 
 
-def _zero_state() -> InfeasibleComponentError:
-    # A zero state under any assignment makes the minimum-norm one zero too.
-    return InfeasibleComponentError(
-        "the minimum-norm stationary state is zero: every edge joins two marked vertices"
-        " and every coefficient is 0"
-    )
-
-
 @dataclass(frozen=True)
 class StationaryAssignment:
     """Per-edge coefficients solving one marked component.
@@ -195,7 +187,8 @@ def normalization_scale(g: Graph, assignments: Sequence[StationaryAssignment]) -
     One scale is shared by all components: a = 1/sqrt(2m - 2*E + S) with E
     the total internal edge count and S the directed sum of squared
     coefficients, both summed over the given assignments.  Raises
-    InfeasibleComponentError when that total is 0: the state is zero.
+    InfeasibleComponentError when that total is 0, as the state is zero,
+    and ValueError when it overflows.
     """
     if g.arc_count == 0:
         raise ValueError("graph has no arcs")
@@ -203,7 +196,13 @@ def normalization_scale(g: Graph, assignments: Sequence[StationaryAssignment]) -
     for asg in assignments:
         total += asg.sum_sq_directed - 2.0 * len(asg.coefficients)
     if total == 0.0:
-        raise _zero_state()
+        # A zero state under any assignment makes the minimum-norm one zero too.
+        raise InfeasibleComponentError(
+            "the minimum-norm stationary state is zero: every edge joins two marked vertices"
+            " and every coefficient is 0"
+        )
+    if not math.isfinite(total):
+        raise ValueError("the assignment's sum of squared amplitudes overflows a float64")
     return 1.0 / math.sqrt(total)
 
 
@@ -221,24 +220,20 @@ def build_state(g: Graph, assignments: Sequence[StationaryAssignment]) -> WalkSt
     """Assemble the unit state with amplitude ``a`` on every arc except the
     internal marked arcs, which carry their coefficient times ``a``.
 
-    With no assignments this is exactly the uniform starting state.  A
-    zero state raises InfeasibleComponentError before it is divided by its
-    norm.
+    With no assignments this is exactly the uniform starting state.  An
+    arcless graph, a zero state and a sum of squares that overflows raise
+    as in normalization_scale, before the state is divided by its norm.
     """
     if any(asg.component.graph is not g for asg in assignments):
         raise ValueError("assignment solves a component of a different graph")
     _require_disjoint(assignments)
-    if g.arc_count == 0:
-        raise ValueError("graph has no arcs")
+    normalization_scale(g, assignments)
     arcs = _arcs_between(g, [e for asg in assignments for e in asg.coefficients])
     values = [c for asg in assignments for c in asg.coefficients.values()]
     unscaled = np.ones(g.arc_count)
     unscaled[arcs] = values
     unscaled[g.reverse[arcs]] = values
-    norm_sq = float(np.dot(unscaled, unscaled))
-    if norm_sq == 0.0:
-        raise _zero_state()
-    unscaled /= math.sqrt(norm_sq)
+    unscaled /= math.sqrt(float(np.dot(unscaled, unscaled)))
     return WalkState(unscaled, g)
 
 
@@ -303,9 +298,9 @@ def verify_stationary(g: Graph, marked: Iterable[int], state: WalkState) -> Stat
             top = work.max()
             work[marked_arcs] = np.inf
             spread = float(top - work.min())
-        vertex_sum = 0.0
-        for v in marked_set:
-            vertex_sum = max(vertex_sum, abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())))
+        # np.max, unlike max, keeps a NaN sum.
+        vertex_sums = [abs(float(amps[g.offsets[v] : g.offsets[v + 1]].sum())) for v in marked_set]
+        vertex_sum = float(np.max(vertex_sums, initial=0.0))
     return StationarityCheck(
         residual=residual,
         unmarked_amplitude_spread=spread,

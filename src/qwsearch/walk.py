@@ -29,10 +29,10 @@ above.
 ``evolve``'s norm guard reads the sum of squares that every step leaves
 behind.  A gather plan and a one-block sliced plan take it as one dot of
 the whole state; a sliced plan of several blocks dots each block's output
-rows while they are still in cache, and corrects the sum for the fix-ups
-that overwrite them.  numpy hands a dot of more than 10,000 elements to
-BLAS, and OpenBLAS left at its default thread count runs it on threads of
-its own that spin on the other cores: pin BLAS to one thread
+rows while they are still in cache, and corrects the sum once for all the
+fix-ups that overwrite them.  numpy hands a dot of more than 10,000
+elements to BLAS, and OpenBLAS left at its default thread count runs it on
+threads of its own that spin on the other cores: pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1), as the benchmark harness does.
 """
 
@@ -332,15 +332,14 @@ class _Kernel:
 
     Each step leaves the state's sum of squares in ``sum_sq`` for the norm
     guard.  On a sliced plan of several blocks, the step dots each block's
-    output rows right after the block writes them (see _dot_runs), so they
-    are read from L2 rather than in a second pass over the state; those
-    dots see the fix-up positions as they were before the scatter, so just
-    before it the step adds the fix-ups' new squares less their old ones
-    over the positions in the blocks already dotted, and it dots the last
-    block after the scatter.  A one-block plan, like a gather plan, dots
-    the whole state once after its fix-ups.  The buffer that the first
-    step writes starts zeroed: the correction reads fix-up positions that
-    no slice has written yet.
+    output rows, the last block's included, right after the block writes
+    them (see _dot_runs), so they are read from L2 rather than in a second
+    pass over the state.  Those dots see the fix-up positions as they were
+    before the scatter, so one correction over all the fix-ups, gathered
+    just before it, adds their new squares less their old ones.  A
+    one-block plan, like a gather plan, dots the whole state once after its
+    fix-ups.  The buffer that the first step writes starts zeroed: the
+    correction reads fix-up positions that no slice has written yet.
 
     The blocks run on the calling thread.  Split across two threads, 200
     steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
@@ -389,14 +388,8 @@ class _Kernel:
         self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
         self.block_views = (self._block_views(self.x, self.spare), self._block_views(self.spare, self.x))
         self.dot_runs = (self._dot_runs(self.spare), self._dot_runs(self.x))
-        # The fix-ups that land in the blocks dotted before the scatter: their
-        # indices in fix-up order and their positions, and buffers for both
-        # gathers of the correction.
-        [(_, _, n)] = plan.blocks
-        [*_, (last, _)] = _block_bounds(n)
-        self.early = np.flatnonzero(plan.fix % n < last)
-        self.early_at = plan.fix[self.early]
-        self.early_new, self.early_old = np.empty(self.early.size), np.empty(self.early.size)
+        # The fix-ups' old values, which the correction of a multi-block guard subtracts.
+        self.fix_old = np.empty(plan.fix.size) if len(self.block_views[0]) > 1 else None
 
     def _block_views(self, src: np.ndarray, dst: np.ndarray) -> list:
         """The views each block works on in a step from ``src`` to ``dst``.
@@ -428,16 +421,16 @@ class _Kernel:
             ]))
         return views
 
-    def _dot_runs(self, dst: np.ndarray) -> tuple[list, list]:
-        """The runs of ``dst`` that the norm guard dots in a step that writes
-        it: for each block, its output rows as maximal contiguous runs, the
-        whole of ``dst`` for a single block.  The last block's runs come
-        apart, as they are dotted after the fix-ups; in the list of the
-        others, dotted as each block is written, its place is empty."""
+    def _dot_runs(self, dst: np.ndarray) -> list:
+        """The runs of ``dst`` that the norm guard dots as each block of a
+        step that writes it is written: the block's output rows as maximal
+        contiguous runs.  A single block has none, as its step dots the
+        whole of ``dst`` after the fix-ups."""
         [(d, _, n)] = self.plan.blocks
-        out = dst.reshape(d, n)
-        runs = [[dst] if b - a == n else list(out[:, a:b]) for a, b in _block_bounds(n)]
-        return runs[:-1] + [[]], runs[-1]
+        bounds = _block_bounds(n)
+        if len(bounds) == 1:
+            return [[]]
+        return [list(dst.reshape(d, n)[:, a:b]) for a, b in bounds]
 
     def arc_order(self) -> np.ndarray:
         """The state in global arc order, in the spare buffer, whose pages
@@ -470,25 +463,21 @@ class _Kernel:
             np.take(spare, plan.shift, out=x, mode="wrap")
             self.sum_sq = float(np.dot(x, x))
             return
-        (block_runs, last_runs), total = self.dot_runs[0], 0.0
-        for views, runs in zip(self.block_views[0], block_runs):
+        fix_vals, fix_old, total = self.fix_vals, self.fix_old, 0.0
+        for views, runs in zip(self.block_views[0], self.dot_runs[0]):
             _run_block(views, self.block_scale)  # which also gathers fix_sums
-            for run in runs:  # every block's but the last's
+            for run in runs:
                 total += float(np.dot(run, run))
         self.block_views, self.dot_runs = self.block_views[::-1], self.dot_runs[::-1]
-        np.take(x, plan.fix_src, out=self.fix_vals, mode="wrap")
-        np.subtract(self.fix_sums, self.fix_vals, out=self.fix_vals)
-        if self.early.size:
-            new, old = self.early_new, self.early_old
-            np.take(self.fix_vals, self.early, out=new, mode="wrap")
-            np.take(spare, self.early_at, out=old, mode="wrap")
-            total += float(np.dot(new, new)) - float(np.dot(old, old))
+        np.take(x, plan.fix_src, out=fix_vals, mode="wrap")
+        np.subtract(self.fix_sums, fix_vals, out=fix_vals)
+        if fix_old is not None:
+            np.take(spare, plan.fix, out=fix_old, mode="wrap")
+            total += float(np.dot(fix_vals, fix_vals)) - float(np.dot(fix_old, fix_old))
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
-        spare[plan.fix] = self.fix_vals
-        for run in last_runs:
-            total += float(np.dot(run, run))
-        self.sum_sq = total
+        spare[plan.fix] = fix_vals
+        self.sum_sq = float(np.dot(spare, spare)) if fix_old is None else total
         self.x, self.spare = spare, x
 
     def norm(self) -> float:

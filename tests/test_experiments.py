@@ -15,12 +15,14 @@ import pytest
 from qwsearch import (
     StationarityCheck,
     build_graph,
+    complete_graph,
     cycle_graph,
     initial_state,
     marked_components,
     merged_coefficients,
     normalization_scale,
     solve_min_norm,
+    torus2d_graph,
     write_edge_list,
     write_state_snapshot,
 )
@@ -706,6 +708,30 @@ class TestCli:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
         assert "status=ok" in capsys.readouterr().out
 
+    def test_injected_assignment_whose_squares_overflow_is_exit_1(self, tmp_path, capsys):
+        # Every vertex of the 4x4 torus marked, a +-1e200 circulation around
+        # the square 0-1-5-4 and 0 on every other edge: feasible, but its sum
+        # of squares is inf.  The file's a = 0 is 1/sqrt(inf), so the scale
+        # check alone would accept it.
+        g = torus2d_graph(4, 4)
+        write_edge_list(g, tmp_path / "t4.txt")
+        circulation = {(0, 1): 1e200, (1, 5): -1e200, (4, 5): 1e200, (0, 4): -1e200}
+        comp = marked_components(g, range(g.n))[0]
+        (tmp_path / "ovf.txt").write_text(
+            format_assignment({e: circulation.get(e, 0.0) for e in comp.internal_edges}, 0.0)
+        )
+        cfg = write_config(tmp_path / "ovf.json", {
+            "graph": {"edge_list": "t4.txt"},
+            "marked": {"vertices": list(range(g.n))},
+            "t_max": 5,
+            "assignment": {"file": "ovf.txt"},
+        })
+        out_dir = tmp_path / "o"
+        # A numpy RuntimeWarning would fail the test (filterwarnings = error).
+        assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: the assignment's sum of squared amplitudes overflows a float64\n")
+        assert not list(out_dir.glob("*"))
+
     def test_t_max_override_above_the_limit_is_exit_1(self, tmp_path, capsys):
         cfg = fig_cycle_config(tmp_path)
         assert main(["run", str(cfg), "--t-max", "1000001", "--out-dir", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
@@ -953,6 +979,26 @@ class TestCli:
         (tmp_path / "s.txt").write_text("".join(f"{v} {c} {sign(v, c)}1e308\n" for v in range(5) for c in range(2)))
         assert main(["verify", str(tmp_path / "c5.txt"), "3,4", str(tmp_path / "s.txt")]) == EXIT_CHECK_FAILED
         assert capsys.readouterr() == (out, "")
+
+    def test_verify_keeps_a_nan_vertex_sum(self, tmp_path, capsys):
+        # Vertex 0 of K17 holds 1e308 at ports 0 and 8 and -1e308 at ports 1
+        # and 9: its sum adds inf to -inf.  The NaN must not lose to vertex
+        # 1's sum of 0.8.
+        write_edge_list(complete_graph(17), tmp_path / "k17.txt")
+        big = {0: "1e308", 8: "1e308", 1: "-1e308", 9: "-1e308"}
+        (tmp_path / "s.txt").write_text(
+            "".join(f"{v} {c} {big.get(c, '0.05') if v == 0 else '0.05'}\n" for v in range(17) for c in range(16))
+        )
+        assert main(["verify", str(tmp_path / "k17.txt"), "0,1", str(tmp_path / "s.txt")]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr() == (
+            "residual 1.00000000000000001e+308\n"
+            "unmarked_amplitude_spread 0.00000000000000000e+00\n"
+            "max_marked_vertex_sum nan\n"
+            "max_reverse_mismatch 1.00000000000000001e+308\n"
+            "failed: marked vertex amplitudes do not sum to zero\n"
+            "failed: reverse-arc amplitudes differ\n",
+            "",
+        )
 
     @pytest.mark.parametrize("graph, snapshot", [
         ("4 2\n0 1\n2 3\n", "0 0 0.0\n1 0 0.0\n2 0 0.0\n3 0 0.0\n"),

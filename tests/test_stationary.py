@@ -223,6 +223,17 @@ class TestBuildState:
         with pytest.raises(ValueError, match="^graph has no arcs$"):
             build(build_graph([], 3), [])
 
+    @pytest.mark.parametrize("build", [build_state, normalization_scale])
+    def test_sum_of_squares_overflow_rejected(self, torus4, build):
+        # Every vertex marked and a +-1e200 circulation around the square
+        # 0-1-5-4: every vertex sum is 0, but the squares overflow.
+        comp = single_component(torus4, range(torus4.n))
+        circulation = {(0, 1): 1e200, (1, 5): -1e200, (4, 5): 1e200, (0, 4): -1e200}
+        asg = make_assignment(comp, {e: circulation.get(e, 0.0) for e in comp.internal_edges})
+        with pytest.raises(ValueError, match="^the assignment's sum of squared amplitudes overflows a float64$") as err:
+            build(torus4, [asg])
+        assert type(err.value) is ValueError  # an input error, not an infeasible request
+
     def test_two_components_share_one_scale(self, torus16):
         pairs = [(17, 18), (100, 101)]
         comps = marked_components(torus16, [v for p in pairs for v in p])
@@ -383,6 +394,14 @@ class TestVerifyStationary:
         amps[-1] += 1e-3  # the last arc, in the last run
         check = verify_stationary(cycle5, {3, 4}, WalkState(amps, cycle5))
         assert check.max_reverse_mismatch == np.abs(amps - amps[cycle5.reverse]).max() > 0
+
+    def test_nan_marked_vertex_sum_is_kept(self, cycle5):
+        state = build_state(cycle5, [solve_min_norm(single_component(cycle5, {3, 4}))])
+        amps = state.amplitudes.copy()
+        amps[cycle5.arc_between(3, 2)] = np.nan
+        check = verify_stationary(cycle5, {3, 4}, WalkState(amps, cycle5))
+        assert math.isnan(check.max_marked_vertex_sum)
+        assert "marked vertex amplitudes do not sum to zero" in check.failed_conditions
 
     def test_state_of_another_graph_rejected(self, torus4):
         with pytest.raises(ValueError, match="^state lives on a different graph$"):

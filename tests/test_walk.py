@@ -642,8 +642,8 @@ def poison_step_3(monkeypatch, g, where):
     """Make step 3 write a NaN at one position of its output: one that only
     a slice writes, in an early block ("early"); the first of the last
     block ("last"); or a fix-up's, in an early block ("early_fix").  The
-    first is dotted only with its block, the second only after the
-    scatter, the third only by the correction."""
+    first two are dotted with their block, as soon as it is written; the
+    third only by the one correction over all the fix-ups."""
     plan, bounds = _coin_plan(g), walk._block_bounds(g.n)
     cols, is_fix = np.arange(g.arc_count) % g.n, np.zeros(g.arc_count, dtype=bool)
     is_fix[plan.fix] = True
