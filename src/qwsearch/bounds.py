@@ -80,7 +80,9 @@ def _eccentricity(g: Graph, source: int, limit: int) -> tuple[int, int]:
     farthest = source
     while level < limit:
         nbrs = g.targets[_arcs_of(g, frontier)]
-        fresh = np.unique(nbrs[dist[nbrs] < 0])
+        # np.unique's levels, without its import of numpy.ma (15-28 ms on numpy 2.4)
+        fresh = np.sort(nbrs[dist[nbrs] < 0])
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
         if fresh.size == 0:
             break
         level += 1

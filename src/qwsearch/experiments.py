@@ -362,8 +362,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
     NormDriftError when the walk leaves the unit sphere; :func:`execute`
     maps those to exit statuses.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = build_graph_from_spec(cfg)
     marked = build_marked_from_spec(cfg, g)
     if g.arc_count == 0:
@@ -429,6 +427,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentOutcome:
         "checks_passed": checks_passed,
     }
 
+    # Made only now, so a run that fails leaves no empty directory behind.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / cfg.csv_name
     json_path = out_dir / cfg.report_name
     with csv_path.open("w") as csv_file:

@@ -186,15 +186,20 @@ def normalization_scale(g: Graph, assignments: Sequence[StationaryAssignment]) -
 
     One scale is shared by all components: a = 1/sqrt(2m - 2*E + S) with E
     the total internal edge count and S the directed sum of squared
-    coefficients, both summed over the given assignments.  Raises
-    InfeasibleComponentError when that total is 0, as the state is zero,
-    and ValueError when it overflows.
+    coefficients, both summed over the given assignments.  2m - 2E is an
+    exact integer, and S is added to it once, from math.fsum: a float sum
+    of the terms in turn cancels when every arc is internal, leaving S
+    alone wrong or zero.  Raises InfeasibleComponentError when the total
+    is 0, as the state is zero, and ValueError when it overflows.
     """
     if g.arc_count == 0:
         raise ValueError("graph has no arcs")
-    total = float(g.arc_count)
-    for asg in assignments:
-        total += asg.sum_sq_directed - 2.0 * len(asg.coefficients)
+    edges = sum(len(asg.coefficients) for asg in assignments)
+    try:
+        squares = math.fsum(asg.sum_sq_directed for asg in assignments)
+    except OverflowError:  # raised when fsum's partial sums overflow, where a float sum gives inf
+        squares = math.inf
+    total = float(g.arc_count - 2 * edges) + squares
     if total == 0.0:
         # A zero state under any assignment makes the minimum-norm one zero too.
         raise InfeasibleComponentError(

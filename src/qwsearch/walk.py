@@ -27,13 +27,13 @@ operations, so all give results bit for bit equal to the step as written
 above.
 
 ``evolve``'s norm guard reads the sum of squares that every step leaves
-behind.  A gather plan and a one-block sliced plan take it as one dot of
-the whole state; a sliced plan of several blocks dots each block's output
-rows while they are still in cache, and corrects the sum once for all the
-fix-ups that overwrite them.  numpy hands a dot of more than 10,000
-elements to BLAS, and OpenBLAS left at its default thread count runs it on
-threads of its own that spin on the other cores: pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1), as the benchmark harness does.
+behind.  A gather plan and a one-block sliced plan take it over the whole
+state; a sliced plan of several blocks sums each block's output rows while
+they are still in cache, and corrects the sum once for all the fix-ups that
+overwrite them.  Every sum of squares here, the guard's, the marked mass
+and ``WalkState.norm``, is ``_sum_sq``: dots of runs short enough that
+OpenBLAS never splits them across threads, so its bits do not depend on the
+BLAS thread count and no BLAS thread spins between steps.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class WalkState:
         self.amplitudes = amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(_sum_sq(self.amplitudes))
 
 
 def initial_state(g: Graph) -> WalkState:
@@ -331,15 +331,16 @@ class _Kernel:
     step went from 55-58 to 46-52 us (one thread, 2-vCPU Xeon).
 
     Each step leaves the state's sum of squares in ``sum_sq`` for the norm
-    guard.  On a sliced plan of several blocks, the step dots each block's
-    output rows, the last block's included, right after the block writes
-    them (see _dot_runs), so they are read from L2 rather than in a second
-    pass over the state.  Those dots see the fix-up positions as they were
-    before the scatter, so one correction over all the fix-ups, gathered
-    just before it, adds their new squares less their old ones.  A
-    one-block plan, like a gather plan, dots the whole state once after its
-    fix-ups.  The buffer that the first step writes starts zeroed: the
-    correction reads fix-up positions that no slice has written yet.
+    guard, each part of it through _sum_sq.  On a sliced plan of several
+    blocks, the step sums each block's output rows, the last block's
+    included, in one call right after the block writes them (see
+    _block_rows), so they are read from L2 rather than in a second pass over
+    the state.  Those sums see the fix-up positions as they were before the
+    scatter, so one correction over all the fix-ups, gathered just before
+    it, adds their new squares less their old ones.  A one-block plan, like
+    a gather plan, sums the whole state once after its fix-ups.  The buffer
+    that the first step writes starts zeroed: the correction reads fix-up
+    positions that no slice has written yet.
 
     The blocks run on the calling thread.  Split across two threads, 200
     steps of a 512x512 torus took 0.47-0.69 s against 0.73-0.84 s on an idle
@@ -387,7 +388,7 @@ class _Kernel:
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
         self.block_views = (self._block_views(self.x, self.spare), self._block_views(self.spare, self.x))
-        self.dot_runs = (self._dot_runs(self.spare), self._dot_runs(self.x))
+        self.block_rows = (self._block_rows(self.spare), self._block_rows(self.x))
         # The fix-ups' old values, which the correction of a multi-block guard subtracts.
         self.fix_old = np.empty(plan.fix.size) if len(self.block_views[0]) > 1 else None
 
@@ -421,16 +422,16 @@ class _Kernel:
             ]))
         return views
 
-    def _dot_runs(self, dst: np.ndarray) -> list:
-        """The runs of ``dst`` that the norm guard dots as each block of a
-        step that writes it is written: the block's output rows as maximal
-        contiguous runs.  A single block has none, as its step dots the
-        whole of ``dst`` after the fix-ups."""
+    def _block_rows(self, dst: np.ndarray) -> list:
+        """The part of ``dst`` that the norm guard sums as each block of a
+        step that writes it is written: the block's output rows, a (d, b - a)
+        view.  A single block has None, as its step sums the whole of
+        ``dst`` after the fix-ups."""
         [(d, _, n)] = self.plan.blocks
         bounds = _block_bounds(n)
         if len(bounds) == 1:
-            return [[]]
-        return [list(dst.reshape(d, n)[:, a:b]) for a, b in bounds]
+            return [None]
+        return [dst.reshape(d, n)[:, a:b] for a, b in bounds]
 
     def arc_order(self) -> np.ndarray:
         """The state in global arc order, in the spare buffer, whose pages
@@ -461,23 +462,23 @@ class _Kernel:
                 for i, j, x_piece, out in self.segment_pieces:
                     np.subtract(repeated[i:j], x_piece, out=out)
             np.take(spare, plan.shift, out=x, mode="wrap")
-            self.sum_sq = float(np.dot(x, x))
+            self.sum_sq = _sum_sq(x)
             return
         fix_vals, fix_old, total = self.fix_vals, self.fix_old, 0.0
-        for views, runs in zip(self.block_views[0], self.dot_runs[0]):
+        for views, rows in zip(self.block_views[0], self.block_rows[0]):
             _run_block(views, self.block_scale)  # which also gathers fix_sums
-            for run in runs:
-                total += float(np.dot(run, run))
-        self.block_views, self.dot_runs = self.block_views[::-1], self.dot_runs[::-1]
+            if rows is not None:
+                total += _sum_sq(rows)
+        self.block_views, self.block_rows = self.block_views[::-1], self.block_rows[::-1]
         np.take(x, plan.fix_src, out=fix_vals, mode="wrap")
         np.subtract(self.fix_sums, fix_vals, out=fix_vals)
         if fix_old is not None:
             np.take(spare, plan.fix, out=fix_old, mode="wrap")
-            total += float(np.dot(fix_vals, fix_vals)) - float(np.dot(fix_old, fix_old))
+            total += _sum_sq(fix_vals) - _sum_sq(fix_old)
         # The fix-ups go last: they overwrite the positions inside a row's
         # slice that read from elsewhere.
         spare[plan.fix] = fix_vals
-        self.sum_sq = float(np.dot(spare, spare)) if fix_old is None else total
+        self.sum_sq = _sum_sq(spare) if fix_old is None else total
         self.x, self.spare = spare, x
 
     def norm(self) -> float:
@@ -504,12 +505,26 @@ _DOT_RUN = 8192  # OpenBLAS runs a dot of at most 10,000 elements on one thread
 
 
 def _sum_sq(x: np.ndarray) -> float:
-    """The dots of ``x``'s runs of _DOT_RUN elements, added in order: unlike one long dot,
-    the same for any BLAS thread count, and ``np.dot(x, x)`` bit for bit up to _DOT_RUN."""
+    """The sum of squares of a vector, or of a 2-D array's rows (strided or not).
+
+    Each row splits into runs of _DOT_RUN elements and a shorter tail.  One
+    stacked np.matmul dots every whole run, as np.dot would; the dots are
+    added in order, row by row, and then each row's tail dot.  Unlike one
+    long dot, this is the same for any BLAS thread count.  A vector gives
+    ``np.dot(x, x)`` bit for bit up to _DOT_RUN elements, and the ordered
+    dots of its runs beyond.
+    """
+    width = x.shape[-1]
+    cut = width - width % _DOT_RUN
     total = 0.0
-    for a in range(0, x.size, _DOT_RUN):
-        part = x[a : a + _DOT_RUN]
-        total += float(np.dot(part, part))
+    if cut:
+        runs = x[..., :cut].reshape(x.shape[:-1] + (cut // _DOT_RUN, 1, _DOT_RUN))
+        for dot in np.matmul(runs, runs.swapaxes(-1, -2)).ravel().tolist():
+            total += dot
+    if cut < width:
+        tails = x[..., cut:]
+        for tail in tails if x.ndim == 2 else (tails,):
+            total += float(np.dot(tail, tail))
     return total
 
 

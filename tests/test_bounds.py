@@ -1,4 +1,9 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -308,6 +313,35 @@ class TestDiameterAndBudget:
         monkeypatch.setattr(bounds, "_arcs_of", lambda g, v: calls.append(v.size) or arcs_of(g, v))
         assert default_step_budget(g) == 10_000
         assert len(calls) <= 32
+
+    @pytest.mark.parametrize("build", [
+        lambda: torus2d_graph(6, 9),
+        lambda: random_regular_graph(300, 3, 2),
+        lambda: complete_graph(12),
+        lambda: build_graph([(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)], 6),  # a triangle with tails, and an isolated vertex
+    ], ids=["torus6x9", "rr300", "k12", "tailed_triangle"])
+    def test_eccentricity_matches_a_breadth_first_search(self, build):
+        g = build()
+        for source in range(0, g.n, max(1, g.n // 7)):
+            levels, seen = [[source]], {source}
+            while True:
+                fresh = sorted({w for v in levels[-1] for w in g.neighbors(v)} - seen)
+                if not fresh:
+                    break
+                seen.update(fresh)
+                levels.append(fresh)
+            for limit in (1, 2, len(levels) - 1, g.n):
+                level = min(limit, len(levels) - 1)
+                assert bounds._eccentricity(g, source, limit) == (level, levels[level][0])
+
+    def test_budget_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on numpy 2.4, 15-28 ms of every default-budget run.
+        script = ("import sys; from qwsearch import torus2d_graph, default_step_budget;"
+                  " default_step_budget(torus2d_graph(64, 64)); print('numpy.ma' in sys.modules)")
+        src = str(Path(bounds.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_an_isolated_vertex_0_does_not_cut_the_budget(self):
         # A 9-vertex path on vertices 1..9, then the same path on 0..8.

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -731,6 +732,43 @@ class TestCli:
         assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", "error: the assignment's sum of squared amplitudes overflows a float64\n")
         assert not list(out_dir.glob("*"))
+
+    def test_tiny_circulation_with_every_arc_internal_runs(self, tmp_path, capsys):
+        # Every vertex of the 4x4 torus marked and a +-1e-8 circulation around
+        # the square 0-1-5-4: the state is 8 arcs of +-1/sqrt(8).  Summed in
+        # floats, 2m - 2E + S cancelled to 0, and the run exited 2 as a zero state.
+        g = torus2d_graph(4, 4)
+        write_edge_list(g, tmp_path / "t4.txt")
+        c = 1e-8
+        circulation = {(0, 1): c, (1, 5): -c, (4, 5): c, (0, 4): -c}
+        comp = marked_components(g, range(g.n))[0]
+        (tmp_path / "tiny.txt").write_text(
+            format_assignment({e: circulation.get(e, 0.0) for e in comp.internal_edges}, 1 / math.sqrt(8 * c * c))
+        )
+        cfg = write_config(tmp_path / "tiny.json", {
+            "graph": {"edge_list": "t4.txt"},
+            "marked": {"vertices": list(range(g.n))},
+            "t_max": 5,
+            "assignment": {"file": "tiny.txt"},
+        })
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=ok" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "tiny.json").read_text())
+        assert report["scale"] == pytest.approx(1 / math.sqrt(8 * c * c), rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, command):
+        # A 1x3 block is a bipartite path whose sides' outgoing degrees
+        # differ (3 + 3 against 2): no stationary state, exit 2.
+        cfg = write_config(tmp_path / "row.json", {
+            "graph": {"family": "torus2d", "rows": 4, "cols": 4},
+            "marked": {"block": {"rows": 1, "cols": 3}},
+            "t_max": 5,
+        })
+        out_dir = tmp_path / "o"
+        assert main([command, str(cfg), "--out-dir", str(out_dir)]) == EXIT_INFEASIBLE
+        assert "bipartite side sums" in "".join(capsys.readouterr())
+        assert not out_dir.exists()
 
     def test_t_max_override_above_the_limit_is_exit_1(self, tmp_path, capsys):
         cfg = fig_cycle_config(tmp_path)

@@ -234,6 +234,33 @@ class TestBuildState:
             build(torus4, [asg])
         assert type(err.value) is ValueError  # an input error, not an infeasible request
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-7, 1e-3])
+    def test_scale_of_a_state_with_every_arc_internal(self, torus4, c):
+        # Every vertex marked and a +-c circulation around the square 0-1-5-4:
+        # 2m - 2E is 0, so the scale is 1/sqrt(S) with S = 8c^2.  Summed in
+        # floats, 2m - 2E + S cancelled to 0 at c = 1e-8 and to a scale
+        # 1.17% off at c = 1e-7.
+        comp = single_component(torus4, range(torus4.n))
+        circulation = {(0, 1): c, (1, 5): -c, (4, 5): c, (0, 4): -c}
+        asg = make_assignment(comp, {e: circulation.get(e, 0.0) for e in comp.internal_edges})
+        assert normalization_scale(torus4, [asg]) == 1.0 / math.sqrt(asg.sum_sq_directed)
+        assert normalization_scale(torus4, [asg]) == pytest.approx(1.0 / math.sqrt(8 * c * c), rel=1e-15)
+
+    def test_squares_that_overflow_only_in_their_total_are_rejected(self):
+        # Two 4-cycles, every vertex marked, each with a +-c circulation:
+        # each sum of squares, 8c^2 = 9.8e307, is finite, but their total
+        # overflows, which math.fsum reports by raising OverflowError.
+        g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)], 8)
+        c = 3.5e153
+        assignments = [
+            make_assignment(comp, {(i, j): c if (i + j) % 4 == 1 else -c for i, j in comp.internal_edges})
+            for comp in marked_components(g, range(8))
+        ]
+        assert len(assignments) == 2 and all(math.isfinite(asg.sum_sq_directed) for asg in assignments)
+        for build in (build_state, normalization_scale):
+            with pytest.raises(ValueError, match="^the assignment's sum of squared amplitudes overflows a float64$"):
+                build(g, assignments)
+
     def test_two_components_share_one_scale(self, torus16):
         pairs = [(17, 18), (100, 101)]
         comps = marked_components(torus16, [v for p in pairs for v in p])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,12 +240,28 @@ class TestMarkedProbability:
         x = np.random.default_rng(size).standard_normal(size)
         assert walk._sum_sq(x).hex() == float(np.dot(x, x)).hex()
 
-    def test_sum_of_squares_adds_the_dots_of_runs_in_order(self):
+    @pytest.mark.parametrize("size", [3 * walk._DOT_RUN + 5, walk._DOT_RUN + 1, 31 * walk._DOT_RUN + 17, 1 << 20])
+    def test_sum_of_squares_adds_the_dots_of_runs_in_order(self, size):
         # A longer dot is split in an order set by the BLAS thread count.
         run = walk._DOT_RUN
-        x = np.random.default_rng(3).standard_normal(3 * run + 5)
-        dots = [float(np.dot(x[a : a + run], x[a : a + run])) for a in range(0, x.size, run)]
-        assert walk._sum_sq(x).hex() == (((dots[0] + dots[1]) + dots[2]) + dots[3]).hex()
+        x = np.random.default_rng(3).standard_normal(size)
+        total = 0.0
+        for a in range(0, x.size, run):
+            total += float(np.dot(x[a : a + run], x[a : a + run]))
+        assert walk._sum_sq(x).hex() == total.hex()
+
+    @pytest.mark.parametrize("width", [0, 5, 2 * walk._DOT_RUN, 2 * walk._DOT_RUN + 3])
+    def test_sum_of_squares_of_rows_adds_every_whole_run_then_every_tail(self, width):
+        run = walk._DOT_RUN
+        rows = np.random.default_rng(width).standard_normal((4, 3 * run))[:, 7 : 7 + width]  # strided rows
+        cut = width - width % run
+        total = 0.0
+        for row in rows:
+            for a in range(0, cut, run):
+                total += float(np.dot(row[a : a + run], row[a : a + run]))
+        for row in rows if cut < width else ():
+            total += float(np.dot(row[cut:], row[cut:]))
+        assert walk._sum_sq(rows).hex() == total.hex()
 
 
 class TestEvolve:
@@ -642,7 +662,7 @@ def poison_step_3(monkeypatch, g, where):
     """Make step 3 write a NaN at one position of its output: one that only
     a slice writes, in an early block ("early"); the first of the last
     block ("last"); or a fix-up's, in an early block ("early_fix").  The
-    first two are dotted with their block, as soon as it is written; the
+    first two are summed with their block, as soon as it is written; the
     third only by the one correction over all the fix-ups."""
     plan, bounds = _coin_plan(g), walk._block_bounds(g.n)
     cols, is_fix = np.arange(g.arc_count) % g.n, np.zeros(g.arc_count, dtype=bool)
@@ -701,6 +721,43 @@ class TestFoldedNormGuard:
         ref_seen, ref_amps = reference_evolve(g, amps, marked, 20)
         assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
         assert out.amplitudes.tobytes() == ref_amps.tobytes()
+
+
+# Prints, for a multi-block sliced plan (the 256x256 torus in 4 blocks) and a
+# gather plan (a random 3-regular graph on 40,000 vertices), WalkState.norm
+# of a random state and the guard's sum of squares after each of 3 steps.
+# The state is scaled through math.fsum, whose bits no BLAS thread moves.
+GUARD_SUMS_SCRIPT = """
+import math
+import numpy as np
+from qwsearch import WalkState, random_regular_graph, torus2d_graph
+from qwsearch.walk import _Kernel, _marked_arc_indices
+for g, marked in ((torus2d_graph(256, 256), [0, 1, 32640, 32896]), (random_regular_graph(40000, 3, seed=1), [0, 1, 2])):
+    amps = np.random.default_rng(7).standard_normal(g.arc_count)
+    amps /= math.sqrt(math.fsum(amps * amps))
+    kernel = _Kernel(g, amps, _marked_arc_indices(g, marked))
+    blocks = len(kernel.block_views[0]) if kernel.plan.slices is not None else 0
+    sums = []
+    for _ in range(3):
+        kernel.step()
+        sums.append(kernel.sum_sq.hex())
+    print(blocks, WalkState(amps, g).norm().hex(), *sums)
+"""
+
+
+def test_guard_and_norm_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 elements across its threads,
+    # in an order set by their count; every run _sum_sq dots is shorter.
+    src = str(Path(walk.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", GUARD_SUMS_SCRIPT], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["4", "0"]
+    assert outputs[0] == outputs[1]
 
 
 def assert_store_starts_on_a_line(outs, base, start, stop):
