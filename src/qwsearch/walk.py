@@ -17,14 +17,16 @@ nothing.  It works on two buffers allocated per call, laid out by a coin
 plan (``_CoinPlan``) that the walk builds on a graph's first walk and
 keeps on the graph.  The layout groups the vertices by degree: each
 degree up to 8 is a port-major block whose coin sums are row adds, and
-the higher degrees share one np.add.reduceat segment.  The coin's image
-is gathered through the shift or, on a one-block plan whose shift mostly
-moves whole rows (tori, cycles), written straight to its shifted
-positions in row slices, a block of vertices at a time through views cut
-once from the plan's slices, plus a small fix-up gather in the order the
-blocks read them.  Every layout computes each amplitude by the same
-operations, so all give results bit for bit equal to the step as written
-above.
+the higher degrees share one np.add.reduceat segment.  Every port-major
+block runs through ``_run_block`` on views cut once per walk: its coin
+sums, their scale and one subtract per output row.  Two tails follow.  A
+gather plan's blocks write each row to its own positions, the segment
+follows and the shift gathers the image.  On a one-block plan whose shift
+mostly moves whole rows (tori, cycles), the blocks are blocks of vertices
+whose subtracts write straight to the shifted positions in row slices,
+and a small fix-up gather, in the order the blocks read them, covers the
+rest.  Every layout computes each amplitude by the same operations, so
+all give results bit for bit equal to the step as written above.
 
 ``evolve``'s norm guard reads the sum of squares that every step leaves
 behind.  A gather plan and a one-block sliced plan take it over the whole
@@ -315,17 +317,18 @@ class _Kernel:
     """One walk's state in its graph's coin-plan layout, with the buffers
     the step works in.
 
-    The query runs in place on ``x``.  On a gather plan the coin writes its
-    image to ``spare``, block by block and then the segment, and the shift
-    gathers it back into ``x``.  On a sliced plan the step runs in blocks
-    of vertices, each through views cut once per direction (see
-    _block_views): it computes the scaled coin sums of the block and its
-    halo into ``sums``, gathers those its fix-ups read into its run of
-    ``fix_sums``, in the plan's fix-up order, and runs every row's slice
-    subtract over the block while its rows are still in cache.  The
-    fix-ups follow, after which the two buffers swap roles.  Every
-    amplitude is ``sums[w]*(2/d) - x[p, w]`` however the vertices are
-    blocked, so every layout gives the same bits.  Each row store of the
+    The query runs in place on ``x``.  Then _run_block runs each block of
+    ``block_views[0]`` (see _block_views): it computes the scaled coin sums
+    of the block and its halo into ``sums``, gathers those its fix-ups
+    read into its run of ``fix_sums``, in the plan's fix-up order, and
+    runs every row's subtract over the block while its rows are still in
+    cache.  On a gather plan the blocks are the degree blocks, each row
+    written to its own place in ``spare``; the segment follows, and the
+    shift gathers the image back into ``x``.  On a sliced plan they are
+    blocks of vertices, cut once per direction, whose subtracts write row
+    slices; the fix-ups follow, after which the two buffers swap roles.
+    Every amplitude is ``sums[w]*(2/d) - x[p, w]`` however the vertices
+    are blocked, so every layout gives the same bits.  Each row store of the
     coin's image is cut once, here, into a head of at most 7 elements and
     a body that starts on a 64-byte line (see _line_cuts): a 128x128 torus
     step went from 55-58 to 46-52 us (one thread, 2-vCPU Xeon).
@@ -333,8 +336,8 @@ class _Kernel:
     Each step leaves the state's sum of squares in ``sum_sq`` for the norm
     guard, each part of it through _sum_sq.  On a sliced plan of several
     blocks, the step sums each block's output rows, the last block's
-    included, in one call right after the block writes them (see
-    _block_rows), so they are read from L2 rather than in a second pass over
+    included, in one call right after the block writes them (the last of
+    its views), so they are read from L2 rather than in a second pass over
     the state.  Those sums see the fix-up positions as they were before the
     scatter, so one correction over all the fix-ups, gathered just before
     it, adds their new squares less their old ones.  A one-block plan, like
@@ -365,73 +368,32 @@ class _Kernel:
             at = np.searchsorted(run, arcs).clip(max=run.size - 1)
             hit = run[at] == arcs
             self.arcs[hit] = start + at[hit]
-        # The segment's reduceat starts, scale and vertex degrees, built
-        # here rather than kept on the plan, and writable so numpy copies none.
-        self.starts = np.cumsum(lengths) + plan.segment - lengths
-        self.scale, self.lengths = 2.0 / lengths, lengths
         if plan.slices is None:
-            # Each block's rows, its part of ``sums``, its scale and its
-            # rows' subtracts, and the segment's, cut where each store
-            # reaches a line (see _line_cuts).
-            self.coin_blocks = []
+            # One block of views per degree block, with the identity moves and
+            # no fix-ups; then the segment's reduceat starts, scale and vertex
+            # degrees, built here rather than kept on the plan and writable so
+            # numpy copies none, and its subtract cut where its store reaches a line.
+            views = []
             for d, start, width in plan.blocks:
-                rows, part = self.x[start : start + d * width].reshape(d, width), self.sums[:width]
-                self.coin_blocks.append((rows, part, 2.0 / d, [
-                    (part[i:j], row[i:j], out[i:j])
-                    for row, out in zip(rows, self.spare[start : start + d * width].reshape(d, width))
-                    for i, j in _line_cuts(out)
-                ]))
+                rows, out = (buf[start : start + d * width].reshape(d, width) for buf in (self.x, self.spare))
+                identity = [(q, 0, 0, width) for q in range(d)]
+                views += _block_views(rows, out, self.sums, identity, np.empty(0, dtype=np.int64), np.empty(0),
+                                      [(0, width)])
+            self.block_views = (views,)
+            self.starts = np.cumsum(lengths) + plan.segment - lengths
+            self.scale, self.lengths = 2.0 / lengths, lengths
             x_seg, out_seg = self.x[plan.segment :], self.spare[plan.segment :]
             self.segment_pieces = [(i, j, x_seg[i:j], out_seg[i:j]) for i, j in _line_cuts(out_seg)]
             return
-        self.block_scale = 2.0 / plan.blocks[0][0]
+        [(d, _, n)] = plan.blocks
         # The fix-up buffers, so a step allocates nothing.
         self.fix_sums, self.fix_vals = np.empty(plan.fix.size), np.empty(plan.fix.size)
-        self.block_views = (self._block_views(self.x, self.spare), self._block_views(self.spare, self.x))
-        self.block_rows = (self._block_rows(self.spare), self._block_rows(self.x))
+        self.block_views = tuple(
+            _block_views(src.reshape(d, n), dst.reshape(d, n), self.sums, plan.slices, plan.fix_v, self.fix_sums,
+                         _block_bounds(n))
+            for src, dst in ((self.x, self.spare), (self.spare, self.x)))
         # The fix-ups' old values, which the correction of a multi-block guard subtracts.
         self.fix_old = np.empty(plan.fix.size) if len(self.block_views[0]) > 1 else None
-
-    def _block_views(self, src: np.ndarray, dst: np.ndarray) -> list:
-        """The views each block works on in a step from ``src`` to ``dst``.
-
-        The n vertices split into the contiguous blocks of _block_bounds.
-        A block that owns vertices ``a:b`` has, in turn: the source rows
-        over ``s:e``, the block and its halo of up to max|k| vertices,
-        which its slice subtracts read; the part of ``sums`` that holds
-        their sums; the vertices, less ``s``, of the fix-ups that read
-        vertices ``a:b``, and their run of ``fix_sums``; and for each row q
-        whose slice meets the block, clipped to positions ``j0:j1``, its
-        subtract's two operands and its output, in two pieces where the
-        output first reaches a 64-byte line (see _line_cuts).
-        """
-        plan, sums = self.plan, self.sums
-        [(d, _, n)] = plan.blocks
-        rows, out = src.reshape(d, n), dst.reshape(d, n)
-        views = []
-        for a, b in _block_bounds(n):
-            moves = [(q, p, k, max(a, lo), min(b, hi)) for q, (p, k, lo, hi) in enumerate(plan.slices)]
-            moves = [move for move in moves if move[3] < move[4]]
-            s = min([a] + [j0 + k for _, _, k, j0, _ in moves])
-            e = max([b] + [j1 + k for _, _, k, _, j1 in moves])
-            lo, hi = np.searchsorted(plan.fix_v, (a, b))
-            pieces = [(q, p, k, j0 + i, j0 + j) for q, p, k, j0, j1 in moves for i, j in _line_cuts(out[q, j0:j1])]
-            views.append((rows[:, s:e], sums[: e - s], plan.fix_v[lo:hi] - s, self.fix_sums[lo:hi], [
-                (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1])
-                for q, p, k, j0, j1 in pieces
-            ]))
-        return views
-
-    def _block_rows(self, dst: np.ndarray) -> list:
-        """The part of ``dst`` that the norm guard sums as each block of a
-        step that writes it is written: the block's output rows, a (d, b - a)
-        view.  A single block has None, as its step sums the whole of
-        ``dst`` after the fix-ups."""
-        [(d, _, n)] = self.plan.blocks
-        bounds = _block_bounds(n)
-        if len(bounds) == 1:
-            return [None]
-        return [dst.reshape(d, n)[:, a:b] for a, b in bounds]
 
     def arc_order(self) -> np.ndarray:
         """The state in global arc order, in the spare buffer, whose pages
@@ -443,13 +405,12 @@ class _Kernel:
     def step(self) -> None:
         x, spare, sums, plan = self.x, self.spare, self.sums, self.plan
         x[self.arcs] = -x[self.arcs]
+        total = 0.0
+        for views in self.block_views[0]:
+            _run_block(views)  # which also gathers its fix-ups' sums
+            if views[-1] is not None:
+                total += _sum_sq(views[-1])
         if plan.slices is None:
-            for rows, part, scale, pieces in self.coin_blocks:
-                _port_sums(rows, part)
-                np.multiply(part, scale, out=part)
-                # Row by row: a broadcast subtract would take a 64 KB buffer.
-                for part_piece, row, out in pieces:
-                    np.subtract(part_piece, row, out=out)
             if self.lengths.size:
                 part = sums[: self.starts.size]
                 np.add.reduceat(x, self.starts, out=part)
@@ -464,12 +425,8 @@ class _Kernel:
             np.take(spare, plan.shift, out=x, mode="wrap")
             self.sum_sq = _sum_sq(x)
             return
-        fix_vals, fix_old, total = self.fix_vals, self.fix_old, 0.0
-        for views, rows in zip(self.block_views[0], self.block_rows[0]):
-            _run_block(views, self.block_scale)  # which also gathers fix_sums
-            if rows is not None:
-                total += _sum_sq(rows)
-        self.block_views, self.block_rows = self.block_views[::-1], self.block_rows[::-1]
+        fix_vals, fix_old = self.fix_vals, self.fix_old
+        self.block_views = self.block_views[::-1]
         np.take(x, plan.fix_src, out=fix_vals, mode="wrap")
         np.subtract(self.fix_sums, fix_vals, out=fix_vals)
         if fix_old is not None:
@@ -489,11 +446,45 @@ class _Kernel:
         return _mass(self.x, self.arcs)
 
 
-def _run_block(views: tuple, scale: float) -> None:
-    """One block of the sliced step: the scaled coin sums over the block
+def _block_views(rows: np.ndarray, out: np.ndarray, sums: np.ndarray, slices: tuple | list, fix_v: np.ndarray,
+                 fix_sums: np.ndarray, bounds: list[tuple[int, int]]) -> list[tuple]:
+    """The views each block works on in a step from the (d, n) ``rows`` to
+    the (d, n) ``out``, port-major, through ``slices`` (see _CoinPlan).
+
+    The n vertices split into the contiguous blocks of ``bounds``.  A block
+    that owns vertices ``a:b`` has, in turn: the source rows over ``s:e``,
+    the block and its halo of up to max|k| vertices, which its slice
+    subtracts read; the part of ``sums`` that holds their sums; their
+    scale, 2/d; the vertices, less ``s``, of the fix-ups that read
+    vertices ``a:b`` (``fix_v`` ascends), and their run of ``fix_sums``;
+    for each row q whose slice meets the block, clipped to positions
+    ``j0:j1``, its subtract's two operands and its output, in two pieces
+    where the output first reaches a 64-byte line (see _line_cuts); and,
+    if there are several blocks, the block's output rows, a (d, b - a) view
+    that the norm guard sums while they are in cache, else None.
+    """
+    d = rows.shape[0]
+    views = []
+    for a, b in bounds:
+        moves = [(q, p, k, max(a, lo), min(b, hi)) for q, (p, k, lo, hi) in enumerate(slices)]
+        moves = [move for move in moves if move[3] < move[4]]
+        s = min([a] + [j0 + k for _, _, k, j0, _ in moves])
+        e = max([b] + [j1 + k for _, _, k, _, j1 in moves])
+        lo, hi = np.searchsorted(fix_v, (a, b))
+        pieces = [(q, p, k, j0 + i, j0 + j) for q, p, k, j0, j1 in moves for i, j in _line_cuts(out[q, j0:j1])]
+        views.append((rows[:, s:e], sums[: e - s], 2.0 / d, fix_v[lo:hi] - s, fix_sums[lo:hi], [
+            (sums[j0 + k - s : j1 + k - s], rows[p, j0 + k : j1 + k], out[q, j0:j1])
+            for q, p, k, j0, j1 in pieces
+        ], out[:, a:b] if len(bounds) > 1 else None))
+    return views
+
+
+def _run_block(views: tuple) -> None:
+    """One port-major block of the step: the scaled coin sums over the block
     and its halo, the sums its fix-ups read gathered out, then every row's
-    slice subtract while the block is in cache."""
-    rows, sums, fix_at, fix_sums, moves = views
+    subtract while the block is in cache, row by row (a broadcast subtract
+    would take a 64 KB buffer)."""
+    rows, sums, scale, fix_at, fix_sums, moves, _ = views
     _port_sums(rows, sums)
     np.multiply(sums, scale, out=sums)
     np.take(sums, fix_at, out=fix_sums, mode="wrap")

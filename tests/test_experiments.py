@@ -640,7 +640,7 @@ class TestNormDrift:
     def test_blocked_step_takes_the_same_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(walk, "_BLOCK_VERTICES", 8)
         real, blocks_run = walk._run_block, []
-        monkeypatch.setattr(walk, "_run_block", lambda views, scale: blocks_run.append(1) or real(views, scale))
+        monkeypatch.setattr(walk, "_run_block", lambda views: blocks_run.append(1) or real(views))
         poison_third_step(monkeypatch, 80)
         cfg = cycle_pair_config(tmp_path, 40)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CHECK_FAILED

@@ -512,7 +512,7 @@ def assert_block_views(g, kernel, widths):
                             (kernel.spare, kernel.x, kernel.block_views[1])):
         assert len(views) == len(widths)
         written, fix_run = np.zeros((d, n), dtype=int), 0
-        for (rows, sums, fix_at, fix_sums, moves), a, b in zip(views, bounds, bounds[1:]):
+        for (rows, sums, _, fix_at, fix_sums, moves, _), a, b in zip(views, bounds, bounds[1:]):
             s = _at(rows, src)
             e = s + rows.shape[1]
             assert rows.shape == (d, e - s) and _at(sums, kernel.sums) == 0 and sums.size == e - s
@@ -551,6 +551,17 @@ def blocked(monkeypatch):
         return g, amps, marked, whole_seen, whole.amplitudes
 
     return use
+
+
+def nan_scale_at(monkeypatch, call):
+    """Give the ``call``-th block that _run_block runs a NaN scale."""
+    real, calls = walk._run_block, []
+
+    def poisoned(views):
+        calls.append(views)
+        return real(views[:2] + (np.nan,) + views[3:] if len(calls) == call else views)
+
+    monkeypatch.setattr(walk, "_run_block", poisoned)
 
 
 class TestBlockedStep:
@@ -595,7 +606,7 @@ class TestBlockedStep:
         amps = random_unit_state_vector(np.random.default_rng(5), g.arc_count)
         kernel = _Kernel(g, amps, walk._marked_arc_indices(g, [0, 1, 17]))
         for views in kernel.block_views:
-            [(rows, sums, _, _, _)] = views  # exactly one block
+            [(rows, sums, _, _, _, _, _)] = views  # exactly one block
             assert rows.shape == (4, g.n) and sums.size == g.n  # over vertices 0..n
             assert np.shares_memory(sums, kernel.sums)
         for _ in range(5):
@@ -632,18 +643,23 @@ class TestBlockedStep:
 
     def test_nan_in_one_block_stops_at_its_step(self, blocked, monkeypatch):
         g, amps, marked, *_ = blocked("torus7x9")  # 8 blocks
-        real, calls = walk._run_block, []
-
-        def poisoned(views, scale):
-            calls.append(views)
-            # The last block of step 3 gets a NaN scale.
-            return real(views, np.nan if len(calls) == 3 * 8 else scale)
-
-        monkeypatch.setattr(walk, "_run_block", poisoned)
+        nan_scale_at(monkeypatch, 3 * 8)  # the last block of step 3
         seen = []
         with pytest.raises(NormDriftError, match="nan at step 3"):
             evolve(WalkState(amps, g), marked, 10, observer=lambda t, p: seen.append(t))
         assert seen == [0, 1, 2]
+
+
+def test_nan_in_a_gather_block_stops_at_its_step(monkeypatch):
+    # The gather plan's degree blocks run through the same _run_block as the sliced plan's.
+    g = mixed_graph()
+    plan = _coin_plan(g)
+    assert plan.slices is None and [d for d, _, _ in plan.blocks] == [4, 6, 7, 8] and plan.segment < g.arc_count
+    nan_scale_at(monkeypatch, 3 * 4)  # the last block of step 3
+    seen = []
+    with pytest.raises(NormDriftError, match="nan at step 3"):
+        evolve(initial_state(g), [0, 1], 10, observer=lambda t, p: seen.append(t))
+    assert seen == [0, 1, 2]
 
 
 def guard_case(blocked, name):
@@ -680,8 +696,8 @@ def poison_step_3(monkeypatch, g, where):
         kernels.append(self)
         real_step(self)
 
-    def run_block(views, scale):
-        real_block(views, scale)
+    def run_block(views):
+        real_block(views)
         calls.append(views)
         if len(calls) == 2 * len(bounds) + block + 1:
             getattr(kernels[-1], buffer)[at] = np.nan
@@ -818,7 +834,7 @@ class TestLineStarts:
         for dst, views in ((kernel.spare, kernel.block_views[0]), (kernel.x, kernel.block_views[1])):
             count = len(views)
             assert count == -(-n // block)
-            for i, (*_, moves) in enumerate(views):
+            for i, (*_, moves, _) in enumerate(views):
                 a, b = n * i // count, n * (i + 1) // count
                 for q, (_, _, lo, hi) in enumerate(plan.slices):
                     outs = [out for _, _, out in moves if _at(out, dst) // n == q]
@@ -828,7 +844,7 @@ class TestLineStarts:
     def test_a_sliced_store_off_a_line_takes_a_head(self):
         g = torus2d_graph(128, 128)
         kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
-        [(*_, moves)] = kernel.block_views[0]
+        [(*_, moves, _)] = kernel.block_views[0]
         heads = sorted(out.size for _, _, out in moves if out.ctypes.data % 64)
         assert len(moves) == 6 and heads == [6, 7]  # rows 1 and 2 start 1 and 2 elements in
 
@@ -837,13 +853,15 @@ class TestLineStarts:
         g = LINE_GATHER[name]()
         kernel = _Kernel(g, initial_state(g).amplitudes, np.empty(0, dtype=np.int64))
         plan = kernel.plan
-        assert plan.slices is None and len(kernel.coin_blocks) == len(plan.blocks)
+        [views] = kernel.block_views
+        assert plan.slices is None and len(views) == len(plan.blocks)  # one view per degree block
         heads = 0
-        for (d, start, width), (rows, part, scale, pieces) in zip(plan.blocks, kernel.coin_blocks):
+        for (d, start, width), (rows, part, scale, fix_at, fix_sums, pieces, guard_rows) in zip(plan.blocks, views):
             assert _at(rows, kernel.x) == start and rows.shape == (d, width) and scale == 2.0 / d
             assert _at(part, kernel.sums) == 0 and part.size == width
+            assert fix_at.size == fix_sums.size == 0 and guard_rows is None
             row_outs = [[] for _ in range(d)]
-            for part_piece, row, out in pieces:
+            for part_piece, row, out in pieces:  # the identity moves: row p to row p
                 p, i = divmod(_at(out, kernel.spare) - start, width)
                 assert _at(part_piece, kernel.sums) == i and _at(row, kernel.x) == start + p * width + i
                 assert part_piece.size == row.size == out.size
