@@ -12,10 +12,11 @@ e.g. "3,4"; a list starting with "-" is still the list.  --t-max is at
 most 10^6.  --assignment FILE is read from the working directory.
 QWALK_THREADS caps sweep workers, and a sweep given no *.json config
 exits 1.  Exit statuses: 0 ok, 1 input error (a graph too large to
-allocate, a vertex count above the int64 maximum, a --t-max above 10^6
-and an assignment whose sum of squares overflows included), 2 infeasible stationary request (no stationary state, or
-a zero one), 3 dominance/stationarity check failed or the walk's norm
-drifted.
+allocate, a vertex count above the int64 maximum, a --t-max above 10^6,
+an assignment whose sum of squares overflows and a verify snapshot whose
+norm is below 1 included), 2 infeasible stationary request (no stationary
+state, or a zero one), 3 dominance/stationarity check failed or the walk's
+norm drifted.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .stationary import (
     solve_min_norm,
     verify_stationary,
 )
-from .walk import read_state_snapshot
+from .walk import NORM_DRIFT_LIMIT, read_state_snapshot
 
 
 def _parse_marked(text: str) -> list[int]:
@@ -146,6 +147,8 @@ def _cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     marked = _parse_marked(args.marked)
     state = read_state_snapshot(g, args.snapshot)
+    if state.norm() < 1 - NORM_DRIFT_LIMIT:  # the check's limits are absolute: scaled down, any state passes
+        raise ValueError(f"{args.snapshot}: state norm {state.norm()!r} is below 1")
     check = verify_stationary(g, marked, state)
     for name, value in asdict(check).items():
         print(f"{name} {value:.17e}")

@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -505,6 +505,15 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _records(path) -> Iterator[tuple[str, str, list[str]]]:
+    """``(where, line, line.split())`` for each line of the text file at ``path`` that has a
+    token, with ``where`` = ``<path>:<line number>``, every line counted."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        tokens = line.split()
+        if tokens:
+            yield f"{path}:{lineno}", line, tokens
+
+
 def _parse_int(text: str, where: str) -> int:
     """``int(text)``, failing with the one-line message ``<where>: bad integer '<text>'``."""
     try:
@@ -513,18 +522,13 @@ def _parse_int(text: str, where: str) -> int:
         raise ValueError(f"{where}: bad integer {text!r}") from None
 
 
-def _parse_float(text: str, where: str) -> float:
-    """``float(text)``, failing with the one-line message ``<where>: bad number '<text>'``."""
+def _parse_finite(text: str, what: str, where: str) -> float:
+    """``float(text)``, failing with the one-line message ``<where>: bad number '<text>'``, or with
+    ``<where>: <what> '<text>' is not finite`` on nan and inf: a NaN passes any ``> tol`` check later."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{where}: bad number {text!r}") from None
-
-
-def _parse_finite(text: str, what: str, where: str) -> float:
-    """:func:`_parse_float`, also failing with ``<where>: <what> '<text>' is
-    not finite`` on nan and inf: a NaN passes any ``> tol`` check later."""
-    value = _parse_float(text, where)
     if not math.isfinite(value):
         raise ValueError(f"{where}: {what} {text!r} is not finite")
     return value
@@ -551,9 +555,7 @@ def read_edge_list(path) -> Graph:
             pass  # a bad integer, or one beyond int64: found line by line below
     if edges is None:
         edges = []
-        for lineno in linenos.tolist():
-            where = f"{path}:{lineno}"
-            row = lines[lineno - 1].split()
+        for where, _, row in list(_records(path))[1:]:  # past the 'n m' line
             if len(row) != 2:
                 raise ValueError(f"{where}: malformed edge line {' '.join(row)!r}")
             edges.append((_parse_int(row[0], where), _parse_int(row[1], where)))

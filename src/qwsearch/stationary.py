@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import _GATHER_RUN, Graph, MarkedComponent, _arcs_between, _arcs_of, _parse_finite, _parse_int
+from .graphs import _GATHER_RUN, Graph, MarkedComponent, _arcs_between, _arcs_of, _parse_finite, _parse_int, _records
 from .walk import WalkState, step
 
 __all__ = [
@@ -329,11 +328,7 @@ def format_assignment(coefficients: Mapping[tuple[int, int], float], scale: floa
 def read_assignment_file(path) -> tuple[dict[tuple[int, int], float], float]:
     coefficients: dict[tuple[int, int], float] = {}
     scale: float | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        where = f"{path}:{lineno}"
+    for where, line, parts in _records(path):
         if parts[0] == "a":
             if len(parts) != 2 or scale is not None:
                 raise ValueError(f"{where}: malformed or repeated scale line {line!r}")

@@ -47,7 +47,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, _arcs_of, _parse_finite, _parse_int
+from .graphs import Graph, _arcs_of, _parse_finite, _parse_int, _records
 
 __all__ = [
     "WalkState", "NormDriftError", "NORM_DRIFT_LIMIT", "initial_state", "apply_query", "apply_coin",
@@ -79,7 +79,8 @@ class WalkState:
         self.amplitudes = amps
 
     def norm(self) -> float:
-        return math.sqrt(_sum_sq(self.amplitudes))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, which a unit check fails
+            return math.sqrt(_sum_sq(self.amplitudes))
 
 
 def initial_state(g: Graph) -> WalkState:
@@ -487,7 +488,8 @@ def _run_block(views: tuple) -> None:
     rows, sums, scale, fix_at, fix_sums, moves, _ = views
     _port_sums(rows, sums)
     np.multiply(sums, scale, out=sums)
-    np.take(sums, fix_at, out=fix_sums, mode="wrap")
+    if fix_at.size:  # a degree block of a gather plan has none
+        np.take(sums, fix_at, out=fix_sums, mode="wrap")
     for sums_part, rows_part, out in moves:
         np.subtract(sums_part, rows_part, out=out)
 
@@ -603,11 +605,7 @@ def write_state_snapshot(state: WalkState, path) -> None:
 def read_state_snapshot(g: Graph, path) -> WalkState:
     amps = np.zeros(g.arc_count)
     seen = np.zeros(g.arc_count, dtype=bool)
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        where = f"{path}:{lineno}"
+    for where, line, parts in _records(path):
         if len(parts) != 3:
             raise ValueError(f"{where}: expected 'v c amplitude', got {line!r}")
         v, port = _parse_int(parts[0], where), _parse_int(parts[1], where)

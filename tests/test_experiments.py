@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1051,13 +1052,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {tmp_path / 's.txt'}: every amplitude is zero\n")
 
+    @pytest.mark.parametrize("scale, code", [(1e-12, EXIT_INPUT_ERROR), (1.0, EXIT_CHECK_FAILED)],
+                             ids=["scaled_down", "unit_scale"])
+    def test_verify_rejects_a_state_far_below_unit_norm(self, tmp_path, capsys, scale, code):
+        # The check's limits are absolute: scaled to 1e-12, draws that fail
+        # it at scale 1 have every measure below 1e-10.
+        write_edge_list(cycle_graph(4), tmp_path / "c4.txt")
+        draw = random.Random(1)
+        snapshot = tmp_path / "s.txt"
+        snapshot.write_text("".join(f"{v} {c} {draw.uniform(-1, 1) * scale!r}\n" for v in range(4) for c in range(2)))
+        assert main(["verify", str(tmp_path / "c4.txt"), "0", str(snapshot)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_INPUT_ERROR:
+            assert re.fullmatch(f"error: {re.escape(str(snapshot))}: state norm [0-9.e-]+ is below 1\n", err)
+
     @pytest.mark.parametrize("reader, bad, problem", [
         ("edge_list", "5 5\n0 1\n0 x\n1 2\n2 3\n3 4\n", "3: bad integer 'x'"),
         ("snapshot", "0 0 0.5\nx 1 0.5\n", "2: bad integer 'x'"),
         ("snapshot", "0 0 abc\n", "1: bad number 'abc'"),
         ("assignment", "3 x 1.0\na 0.3\n", "1: bad integer 'x'"),
         ("assignment", "3 4 -1.0\na zz\n", "2: bad number 'zz'"),
-    ], ids=["edge_list", "snapshot_int", "snapshot_float", "assignment_int", "assignment_float"])
+        # An empty, a whitespace-only and a tab-only line, each counted.
+        ("edge_list", "5 5\n\n   \n\t\n0 x\n1 2\n2 3\n3 4\n4 0\n", "5: bad integer 'x'"),
+        ("snapshot", "0 0 0.5\n\n   \n\t\nx 1 0.5\n", "5: bad integer 'x'"),
+        ("assignment", "3 4 -1.0\n\n   \n\t\nx 4 1.0\na 0.3\n", "5: bad integer 'x'"),
+    ], ids=["edge_list", "snapshot_int", "snapshot_float", "assignment_int", "assignment_float",
+            "edge_list_after_blank_lines", "snapshot_after_blank_lines", "assignment_after_blank_lines"])
     def test_bad_number_names_file_and_line(self, tmp_path, capsys, reader, bad, problem):
         c5 = tmp_path / "c5.txt"
         write_edge_list(cycle_graph(5), c5)
